@@ -78,7 +78,10 @@ echo "policy .pol round-trip gate passed"
 # --- Workload smoke campaign ---------------------------------------------
 # Tiny (timeline × destination × seed) grid at 1 and 4 workers; the binary
 # asserts the byte-identical aggregate hash (exits non-zero on divergence).
-cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke
+# The output is kept: the debug-vs-release cross-check below reads the
+# release hash from it instead of running the grid a second time.
+smoke_release_out=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke)
+printf '%s\n' "$smoke_release_out"
 echo "smoke campaign passed (deterministic aggregate hash)"
 
 # --- Adversarial smoke sweep ----------------------------------------------
@@ -132,10 +135,10 @@ echo "queryd daemon smoke gate passed (golden transcript byte-identical)"
 # overflow that release wraps silently, or float evaluation differences —
 # all determinism bugs. The pinned value is the golden from
 # tests/determinism.rs; three representations (test, debug run, release
-# run) must agree.
+# run) must agree. The release hash is the smoke campaign step's output.
 SMOKE_GOLDEN="0x288f67a39b590c8d"
 hash_of() { grep -o 'hash 0x[0-9a-f]*' | head -1 | awk '{print $2}'; }
-release_hash=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke | hash_of)
+release_hash=$(printf '%s\n' "$smoke_release_out" | hash_of)
 debug_hash=$(cargo run --offline -q -p stamp_bench --bin campaign -- --smoke | hash_of)
 if [ "$release_hash" != "$SMOKE_GOLDEN" ] || [ "$debug_hash" != "$SMOKE_GOLDEN" ]; then
     echo "DETERMINISM VIOLATION: smoke hash golden=$SMOKE_GOLDEN release=$release_hash debug=$debug_hash" >&2

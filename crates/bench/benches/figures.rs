@@ -1,7 +1,7 @@
 //! Figure benches: one per paper figure/table, at reduced scale so the
-//! harness can iterate. The full-scale regenerations are the binaries
-//! (`fig1`, `fig2`, `fig3a`, `fig3b`, `node_failure`, `partial_deployment`,
-//! `overhead`, `convergence`).
+//! harness can iterate. The full-scale regenerations are the subcommands
+//! of the `figures` binary (`figures fig2`, …; `figures --help` lists
+//! them).
 //!
 //! Emits `BENCH_figures.json` (median/p95 per benchmark) at the repo root
 //! (gitignored — machine-dependent); override the destination with

@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the building blocks: topology generation, the
 //! static route solver, uphill path counting, route propagation through
-//! the RIB/decision hot path, full-engine convergence, and the wire codec.
+//! the RIB/decision hot path, full-engine convergence, the data-plane
+//! observation tick and warm-start checkpoints.
 //!
 //! Emits a machine-readable `BENCH_micro.json` (median/p95 per benchmark)
 //! at the repo root alongside the human-readable report lines; override
@@ -254,14 +255,11 @@ fn bench_mrai_arm(h: &Harness, report: &mut JsonReport) {
 }
 
 /// One data-plane observation tick on a converged 300-AS BGP network —
-/// the inner loop of every failure measurement. Two variants pin the
-/// redesign's satellite claim: `boxed` is the pre-redesign path (a fresh
-/// `Box<dyn ForwardingView>` per observation, dynamic dispatch into the
-/// tracker), `static` is the probe path (the view on the stack,
-/// `TransientTracker::observe` monomorphised over the concrete view).
+/// the inner loop of every failure measurement: the view on the stack,
+/// `TransientTracker::observe` monomorphised over the concrete view.
 fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
     use stamp_bgp::types::PrefixId;
-    use stamp_forwarding::{BgpView, ForwardingView, TransientTracker};
+    use stamp_forwarding::{BgpView, TransientTracker};
     use stamp_workload::Sim;
 
     let g = generate(&GenConfig {
@@ -280,13 +278,6 @@ fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
     sim.converge();
     let e = sim.bgp().expect("default protocol is BGP");
     let reachable = vec![true; g.n()];
-
-    let mut tracker = TransientTracker::new(dest, reachable.clone());
-    report.bench(h, "observe_loop_boxed", || {
-        let view: Box<dyn ForwardingView + '_> = Box::new(BgpView { engine: e, prefix });
-        tracker.observe(view.as_ref());
-        black_box(tracker.observations);
-    });
 
     let mut tracker = TransientTracker::new(dest, reachable);
     report.bench(h, "observe_loop_static", || {
@@ -405,27 +396,6 @@ fn main() {
     bench_mrai_arm(&h, &mut report);
     bench_observe_loop(&h, &mut report);
     bench_checkpoint(&h, &mut report);
-
-    use stamp_bgp::patharena::PathArena;
-    use stamp_bgp::types::{PathAttrs, PrefixId, Route, UpdateKind, UpdateMsg};
-    use stamp_bgp::wire::{decode, encode};
-    let mut arena = PathArena::new();
-    let path: Vec<AsId> = (0..8).map(AsId).collect();
-    let msg = UpdateMsg {
-        prefix: PrefixId(7),
-        kind: UpdateKind::Announce(Route {
-            path: arena.intern_slice(&path),
-            attrs: PathAttrs {
-                lock: true,
-                et: Some(stamp_bgp::types::EventType::NotLost),
-                ..Default::default()
-            },
-        }),
-    };
-    report.bench(&h, "wire_encode_decode", || {
-        let raw = encode(&arena, black_box(&msg));
-        decode(&mut arena, &raw).unwrap();
-    });
 
     // Default to the repo root (cargo runs benches from the crate dir).
     let path = std::env::var("STAMP_BENCH_MICRO_JSON")

@@ -1,4 +1,5 @@
-//! Shared CLI plumbing for the figure-regeneration binaries.
+//! Shared CLI plumbing for the bench binaries (`figures`, `campaign`,
+//! `divergence`).
 //!
 //! Every binary accepts:
 //!
@@ -7,25 +8,26 @@
 //! * `--seed N` — master seed,
 //! * `--threads N` — worker threads (0 = all cores).
 //!
-//! Unknown flags abort with a usage message; the binaries print the figure
-//! to stdout.
+//! An unknown flag, a missing value or a malformed number exits 2 with the
+//! usage text; the binaries print their report to stdout.
 //!
 //! The [`harness`] module is the in-repo micro-benchmark harness backing
 //! `benches/{figures,micro}.rs`.
 
 #![forbid(unsafe_code)]
 
+use std::fmt;
+use std::str::FromStr;
+
 pub mod harness;
 
 /// Parsed common options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommonArgs {
     pub ases: Option<usize>,
     pub instances: Option<usize>,
     pub seed: Option<u64>,
     pub threads: usize,
-    /// Extra boolean flag some binaries use (e.g. `--smart` on fig1).
-    pub smart: bool,
     /// CI smoke mode (`campaign --smoke`): tiny grid, determinism check
     /// only.
     pub smoke: bool,
@@ -53,57 +55,178 @@ pub struct CommonArgs {
     pub adversarial: bool,
 }
 
-/// Parse `std::env::args`, exiting with usage on errors.
-pub fn parse_args(usage: &str) -> CommonArgs {
-    let mut out = CommonArgs {
-        ases: None,
-        instances: None,
-        seed: None,
-        threads: 0,
-        smart: false,
-        smoke: false,
-        dests: None,
-        seeds: None,
-        scn: Vec::new(),
-        protocols: None,
-        policy: None,
-        check: false,
-        adversarial: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("missing value for {}\n{usage}", args[*i - 1]);
-            std::process::exit(2);
-        })
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ases" => out.ases = Some(value(&mut i).parse().expect("--ases N")),
-            "--instances" => out.instances = Some(value(&mut i).parse().expect("--instances N")),
-            "--seed" => out.seed = Some(value(&mut i).parse().expect("--seed N")),
-            "--threads" => out.threads = value(&mut i).parse().expect("--threads N"),
-            "--smart" => out.smart = true,
-            "--smoke" => out.smoke = true,
-            "--dests" => out.dests = Some(value(&mut i).parse().expect("--dests N")),
-            "--seeds" => out.seeds = Some(value(&mut i).parse().expect("--seeds N")),
-            "--scn" => out.scn.push(value(&mut i)),
-            "--protocols" => out.protocols = Some(value(&mut i)),
-            "--policy" => out.policy = Some(value(&mut i)),
-            "--check" => out.check = true,
-            "--adversarial" => out.adversarial = true,
-            "--help" | "-h" => {
-                println!("{usage}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}\n{usage}");
-                std::process::exit(2);
+/// Why an argument list did not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--help` / `-h`: print the usage and exit 0.
+    Help,
+    /// A flag no binary knows.
+    Unknown(String),
+    /// A flag that takes a value came last.
+    Missing(String),
+    /// A numeric flag whose value is not a number.
+    Malformed { flag: String, value: String },
+}
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgError::Help => write!(f, "help requested"),
+            ArgError::Unknown(flag) => write!(f, "unknown flag {flag}"),
+            ArgError::Missing(flag) => write!(f, "missing value for {flag}"),
+            ArgError::Malformed { flag, value } => {
+                write!(f, "{flag} expects a number, got {value:?}")
             }
         }
-        i += 1;
     }
-    out
+}
+
+impl CommonArgs {
+    /// Parse a flag list (the program name and any subcommand already
+    /// stripped).
+    pub fn parse(args: &[String]) -> Result<CommonArgs, ArgError> {
+        fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, ArgError> {
+            value.parse().map_err(|_| ArgError::Malformed {
+                flag: flag.to_string(),
+                value: value.to_string(),
+            })
+        }
+        let mut out = CommonArgs::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| ArgError::Missing(flag.clone()));
+            match flag.as_str() {
+                "--ases" => out.ases = Some(number(flag, value()?)?),
+                "--instances" => out.instances = Some(number(flag, value()?)?),
+                "--seed" => out.seed = Some(number(flag, value()?)?),
+                "--threads" => out.threads = number(flag, value()?)?,
+                "--smoke" => out.smoke = true,
+                "--dests" => out.dests = Some(number(flag, value()?)?),
+                "--seeds" => out.seeds = Some(number(flag, value()?)?),
+                "--scn" => out.scn.push(value()?.clone()),
+                "--protocols" => out.protocols = Some(value()?.clone()),
+                "--policy" => out.policy = Some(value()?.clone()),
+                "--check" => out.check = true,
+                "--adversarial" => out.adversarial = true,
+                "--help" | "-h" => return Err(ArgError::Help),
+                other => return Err(ArgError::Unknown(other.to_string())),
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Print `usage` for a parse outcome that ends the process: to stdout
+/// with exit 0 for `--help`, to stderr after the error with exit 2
+/// otherwise.
+pub fn exit_with_usage(err: &ArgError, usage: &str) -> ! {
+    if *err == ArgError::Help {
+        println!("{usage}");
+        std::process::exit(0);
+    }
+    eprintln!("{err}\n{usage}");
+    std::process::exit(2);
+}
+
+/// Parse `std::env::args`, exiting with usage on errors.
+pub fn parse_args(usage: &str) -> CommonArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    CommonArgs::parse(&args).unwrap_or_else(|e| exit_with_usage(&e, usage))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CommonArgs, ArgError> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        CommonArgs::parse(&args)
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let a = parse(&[
+            "--ases",
+            "300",
+            "--instances",
+            "4",
+            "--seed",
+            "11",
+            "--threads",
+            "2",
+            "--smoke",
+            "--dests",
+            "3",
+            "--seeds",
+            "5",
+            "--scn",
+            "a.scn",
+            "--scn",
+            "b.scn",
+            "--protocols",
+            "bgp,stamp",
+            "--policy",
+            "gao-rexford",
+            "--check",
+            "--adversarial",
+        ])
+        .unwrap();
+        assert_eq!(
+            a,
+            CommonArgs {
+                ases: Some(300),
+                instances: Some(4),
+                seed: Some(11),
+                threads: 2,
+                smoke: true,
+                dests: Some(3),
+                seeds: Some(5),
+                scn: vec!["a.scn".into(), "b.scn".into()],
+                protocols: Some("bgp,stamp".into()),
+                policy: Some("gao-rexford".into()),
+                check: true,
+                adversarial: true,
+            }
+        );
+        assert_eq!(parse(&[]).unwrap(), CommonArgs::default());
+    }
+
+    #[test]
+    fn malformed_numbers_are_errors_not_panics() {
+        for flag in [
+            "--ases",
+            "--instances",
+            "--seed",
+            "--threads",
+            "--dests",
+            "--seeds",
+        ] {
+            assert_eq!(
+                parse(&[flag, "x"]),
+                Err(ArgError::Malformed {
+                    flag: flag.into(),
+                    value: "x".into()
+                })
+            );
+        }
+        assert!(matches!(
+            parse(&["--ases", "-1"]),
+            Err(ArgError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn missing_unknown_and_help() {
+        assert_eq!(
+            parse(&["--seed", "1", "--ases"]),
+            Err(ArgError::Missing("--ases".into()))
+        );
+        assert_eq!(
+            parse(&["--smart"]),
+            Err(ArgError::Unknown("--smart".into()))
+        );
+        assert_eq!(parse(&["fig2"]), Err(ArgError::Unknown("fig2".into())));
+        assert_eq!(parse(&["--ases", "9", "-h"]), Err(ArgError::Help));
+        assert_eq!(parse(&["--help"]), Err(ArgError::Help));
+    }
 }

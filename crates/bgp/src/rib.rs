@@ -287,8 +287,8 @@ impl RibIn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::local_pref;
     use crate::types::PathAttrs;
+    use stamp_policy::CompiledRegime;
     use stamp_topology::{AsGraph, GraphBuilder};
 
     fn route(a: &mut PathArena, path: &[u32]) -> Route {
@@ -303,7 +303,8 @@ mod tests {
     /// preference is the default regime's, as the import path computes it.
     fn learn(rib: &mut RibIn, g: &AsGraph, me: AsId, p: PrefixId, pr: ProcId, r: Route, n: AsId) {
         let rel = g.relation(me, n).expect("adjacent");
-        rib.insert(p, pr, n, r, rel, local_pref(rel));
+        let pref = CompiledRegime::default_static().base_pref(rel);
+        rib.insert(p, pr, n, r, rel, pref);
     }
 
     /// me = 0 with customer 1, peer 2, provider 3; origin 4 somewhere below.

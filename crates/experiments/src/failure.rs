@@ -19,23 +19,23 @@
 //!    shorter than the throttle can be missed, equally for all protocols),
 //! 5. report the number of ASes with transient problems, message counts
 //!    and convergence delay (the §6.3 metrics fall out of the same runs).
+//!
+//! Instances run on the workspace's one parallel runner
+//! ([`stamp_workload::campaign::run_sharded`]), one task per instance.
+//! They are deliberately not campaign cells: a cell re-derives its seed
+//! from its grid coordinates, which would move every result, and no two
+//! instances share a converged baseline a warm start could reuse.
 
 use crate::stats;
 use stamp_eventsim::rng::tags;
 use stamp_eventsim::rng_stream;
 use stamp_topology::gen::{generate, GenConfig};
 use stamp_topology::{AsId, StaticRoutes};
-use stamp_workload::campaign::{run_protocol_cell, RunParams};
+use stamp_workload::campaign::{run_protocol_cell, run_sharded, RunParams};
 use stamp_workload::canned::sample_canned;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub use stamp_workload::campaign::{InstanceMetrics, Protocol, PREFIX};
 pub use stamp_workload::canned::FailureScenario;
-
-/// One worker slot: the per-protocol metrics of one instance, `None`
-/// until that instance has run.
-type InstanceSlot = Option<Vec<(Protocol, InstanceMetrics)>>;
 
 /// Experiment configuration; defaults follow §6.2 where the paper is
 /// explicit (delays, MRAI, 100 instances) and DESIGN.md where it is not.
@@ -198,14 +198,15 @@ impl FailureReport {
     }
 }
 
-/// Run one instance (all requested protocols on the identical workload).
+/// Run one instance: all requested protocols, in order, on the identical
+/// workload.
 fn run_instance(
     g: &stamp_topology::AsGraph,
     cfg: &FailureConfig,
     scenario: FailureScenario,
     instance: usize,
     protocols: &[Protocol],
-) -> Vec<(Protocol, InstanceMetrics)> {
+) -> Vec<InstanceMetrics> {
     let instance_seed = cfg
         .seed
         .wrapping_add((instance as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -227,17 +228,14 @@ fn run_instance(
     protocols
         .iter()
         .map(|&p| {
-            (
+            run_protocol_cell(
+                g,
+                &cfg.params,
+                &w.timeline,
+                w.dest,
+                &reachable,
                 p,
-                run_protocol_cell(
-                    g,
-                    &cfg.params,
-                    &w.timeline,
-                    w.dest,
-                    &reachable,
-                    p,
-                    instance_seed,
-                ),
+                instance_seed,
             )
         })
         .collect()
@@ -251,50 +249,17 @@ pub fn run_failure_experiment(
 ) -> FailureReport {
     // simlint::allow(panic, "experiment configs are validated constants")
     let g = generate(&cfg.gen).expect("valid generator config");
-    let threads = if cfg.threads == 0 {
-        // simlint::allow(ambient-env, "thread count only partitions instances; per-instance seeds fix the results")
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-    .min(cfg.instances.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<InstanceSlot>> = Mutex::new(vec![None; cfg.instances]);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cfg.instances {
-                    break;
-                }
-                let r = run_instance(&g, cfg, scenario, i, protocols);
-                // simlint::allow(panic, "a poisoned slot mutex means a sibling worker already panicked")
-                slots.lock().unwrap()[i] = Some(r);
-            });
-        }
+    let instances = run_sharded(cfg.instances, cfg.threads, |i| {
+        run_instance(&g, cfg, scenario, i, protocols)
     });
 
     let mut results: Vec<(Protocol, ProtocolResult)> = protocols
         .iter()
         .map(|&p| (p, ProtocolResult::default()))
         .collect();
-    // simlint::allow(panic, "poison here means a worker already panicked")
-    for slot in slots.into_inner().expect("no worker panicked") {
-        // simlint::allow(panic, "the atomic counter hands out every index exactly once")
-        let instance = slot.expect("all instances ran");
-        for (p, m) in instance {
-            results
-                .iter_mut()
-                .find(|(q, _)| *q == p)
-                // simlint::allow(panic, "rows were created from this same protocol list")
-                .expect("protocol present")
-                .1
-                .per_instance
-                .push(m);
+    for instance in instances {
+        for ((_, row), m) in results.iter_mut().zip(instance) {
+            row.per_instance.push(m);
         }
     }
     FailureReport {

@@ -1,9 +1,10 @@
 //! Experiment harness: regenerates every figure and table of the paper.
 //!
-//! Each experiment in DESIGN.md §4 maps to a module here; `stamp-bench`
-//! wraps them in Criterion benches and standalone binaries. All experiments
-//! are deterministic given their seed and run independent scenario
-//! instances in parallel (`std::thread::scope` workers).
+//! Each experiment in DESIGN.md §4 maps to a module here; `stamp_bench`
+//! wraps them in its benches and the `figures` binary. All experiments
+//! are deterministic given their seed; the failure experiments run their
+//! independent instances on the workspace's one parallel runner,
+//! [`stamp_workload::campaign::run_sharded`].
 //!
 //! | Experiment | Module | Paper artefact |
 //! |---|---|---|

@@ -1,4 +1,4 @@
-//! Text rendering of figures and tables — what the bench binaries print.
+//! Text rendering of figures and tables — what the `figures` binary prints.
 //!
 //! The ASCII output mirrors the paper's artefacts: horizontal bars for the
 //! Figure 2/3 comparisons, a monotone staircase for the Figure 1 CDF and
@@ -253,6 +253,76 @@ pub fn render_partial_report(r: &PartialReport) -> String {
     out.push_str(&table(
         "ASes with two downhill node-disjoint paths:",
         &["deployment", "measured", "paper"],
+        &rows,
+    ));
+    out
+}
+
+/// Render the §6.3 message-overhead table: STAMP's two processes against
+/// one BGP process (the report must hold both protocols).
+pub fn render_overhead_report(r: &FailureReport) -> String {
+    let bgp = r.of(Protocol::Bgp);
+    let stamp = r.of(Protocol::Stamp);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "== Protocol message overhead (Sec. 6.3) — {} ASes, {} instances ==\n",
+        r.n_ases, r.instances
+    );
+    let rows = vec![
+        vec![
+            "BGP".into(),
+            format!("{:.0}", bgp.updates_initial_mean()),
+            format!("{:.0}", bgp.updates_failure_mean()),
+            "1.00x".into(),
+        ],
+        vec![
+            "STAMP (two processes)".into(),
+            format!("{:.0}", stamp.updates_initial_mean()),
+            format!("{:.0}", stamp.updates_failure_mean()),
+            format!(
+                "{:.2}x",
+                stamp.updates_initial_mean() / bgp.updates_initial_mean().max(1.0)
+            ),
+        ],
+    ];
+    out.push_str(&table(
+        "Updates sent (paper: STAMP < 2x BGP with two parallel processes):",
+        &[
+            "protocol",
+            "initial convergence",
+            "failure phase",
+            "initial ratio",
+        ],
+        &rows,
+    ));
+    out
+}
+
+/// Render the §6.3 convergence-delay table: control-plane convergence and
+/// data-plane recovery per protocol.
+pub fn render_convergence_report(r: &FailureReport) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "== Convergence delay after a single link failure (Sec. 6.3) — {} ASes, {} instances ==\n",
+        r.n_ases, r.instances
+    );
+    let rows: Vec<Vec<String>> = r
+        .results
+        .iter()
+        .map(|(p, res)| {
+            vec![
+                p.label().to_string(),
+                format!("{:.1}", res.convergence_mean_s()),
+                format!("{:.1}", res.data_recovery_mean_s()),
+            ]
+        })
+        .collect();
+    out.push_str(&table(
+        "Convergence (control plane) and data-plane recovery, seconds \
+         after the event (paper: STAMP responds faster than BGP):",
+        &["protocol", "convergence s", "data-plane recovery s"],
         &rows,
     ));
     out

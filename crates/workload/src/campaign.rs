@@ -3,13 +3,14 @@
 //!
 //! Each grid cell converges a fresh network (one [`Engine`] + `PathArena`
 //! per cell per protocol, nothing shared), plays the cell's timeline, and
-//! measures the paper's disruption/recovery metrics. Workers claim cells
-//! from an atomic counter and write results into a pre-sized slot vector,
-//! so the merged report is in *cell-index order no matter how the threads
-//! interleave* — a campaign's aggregate (and its [`CampaignReport::hash`])
-//! is byte-identical at any worker count. That is the whole determinism
-//! argument: randomness is derived per cell from the cell's coordinates,
-//! never from worker identity or wall-clock.
+//! measures the paper's disruption/recovery metrics. Cells go through
+//! [`run_sharded`], the workspace's one parallel runner (the failure
+//! experiments use it too): workers claim indices from an atomic counter
+//! and the results come back in *cell-index order no matter how the
+//! threads interleave* — a campaign's aggregate (and its
+//! [`CampaignReport::hash`]) is byte-identical at any worker count. That
+//! is the whole determinism argument: randomness is derived per cell from
+//! the cell's coordinates, never from worker identity or wall-clock.
 
 use crate::sim::{Sim, SimCheckpoint};
 use crate::timeline::{
@@ -881,6 +882,61 @@ pub fn populate_baselines(
     }
 }
 
+/// The one parallel runner: evaluate `task(i)` for every `i` in
+/// `0..tasks` across `threads` scoped workers (0 = all available cores;
+/// never more workers than tasks) and return the results in index order.
+///
+/// Workers claim indices from an atomic counter, so a slow task never
+/// holds up the queue behind it, and each result lands at its own index
+/// however the threads interleave. A task must derive everything it
+/// computes from its index alone; then the output is byte-identical at
+/// any worker count.
+pub fn run_sharded<T, F>(tasks: usize, threads: usize, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = if threads == 0 {
+        // simlint::allow(ambient-env, "thread count only partitions work; each result depends on its index alone")
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+    .min(tasks.max(1));
+
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= tasks {
+                            break done;
+                        }
+                        done.push((i, task(i)));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            // simlint::allow(panic, "re-raises a worker's panic on the caller")
+            for (i, r) in w.join().expect("runner worker panicked") {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        // simlint::allow(panic, "the atomic counter hands out every index exactly once")
+        .map(|r| r.expect("every task ran"))
+        .collect()
+}
+
 /// [`run_campaign`] with an optional warm-start [`BaselineCache`]: cells
 /// whose converged baseline is cached fork from the checkpoint instead of
 /// replaying convergence; missing baselines converge cold and are
@@ -932,61 +988,30 @@ pub fn run_campaign_with_cache(
         }
     }
 
-    let threads = if cfg.threads == 0 {
-        // simlint::allow(ambient-env, "thread count only partitions work; cell results and the campaign hash are independent of it")
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-    .min(cells.len().max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; cells.len()]);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let (cell, di) = cells[i];
-                let seed = cell_seed(&cell);
-                let metrics: Vec<(Protocol, InstanceMetrics)> = cfg
-                    .protocols
-                    .iter()
-                    .map(|&p| {
-                        (
-                            p,
-                            run_protocol_cell_inner(
-                                g,
-                                &cfg.params,
-                                &timelines[cell.timeline],
-                                cell.dest,
-                                &reachable[cell.timeline][di],
-                                p,
-                                seed,
-                                cache,
-                            ),
-                        )
-                    })
-                    .collect();
-                // simlint::allow(panic, "a poisoned slot mutex means a sibling worker already panicked")
-                slots.lock().unwrap()[i] = Some(CellResult { cell, metrics });
-            });
-        }
+    let cells = run_sharded(cells.len(), cfg.threads, |i| {
+        let (cell, di) = cells[i];
+        let seed = cell_seed(&cell);
+        let metrics = cfg
+            .protocols
+            .iter()
+            .map(|&p| {
+                (
+                    p,
+                    run_protocol_cell_inner(
+                        g,
+                        &cfg.params,
+                        &timelines[cell.timeline],
+                        cell.dest,
+                        &reachable[cell.timeline][di],
+                        p,
+                        seed,
+                        cache,
+                    ),
+                )
+            })
+            .collect();
+        CellResult { cell, metrics }
     });
-
-    let cells: Vec<CellResult> = slots
-        .into_inner()
-        // simlint::allow(panic, "poison here means a worker already panicked")
-        .expect("no worker panicked")
-        .into_iter()
-        // simlint::allow(panic, "the atomic counter hands out every index exactly once")
-        .map(|slot| slot.expect("all cells ran"))
-        .collect();
     let mut h = Fnv1a::new();
     for c in &cells {
         h.write_u64(c.cell.timeline as u64);
@@ -1034,6 +1059,18 @@ mod tests {
             ),
         ];
         (g, timelines, dests)
+    }
+
+    #[test]
+    fn run_sharded_returns_results_in_index_order() {
+        let serial = run_sharded(37, 1, |i| i * i);
+        assert_eq!(serial, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        for threads in [0, 2, 5] {
+            assert_eq!(run_sharded(37, threads, |i| i * i), serial);
+        }
+        // More workers than tasks: capped, same answer.
+        assert_eq!(run_sharded(3, 8, |i| i + 1), vec![1, 2, 3]);
+        assert!(run_sharded(0, 0, |i| i).is_empty());
     }
 
     #[test]

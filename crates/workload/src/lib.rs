@@ -39,7 +39,7 @@ pub mod timeline;
 
 pub use campaign::{
     adversarial_families, adversarial_grid, populate_baselines, run_campaign,
-    run_campaign_with_cache, run_protocol_cell, run_protocol_cell_warm, smoke_grid,
+    run_campaign_with_cache, run_protocol_cell, run_protocol_cell_warm, run_sharded, smoke_grid,
     standard_families, Aggregate, BaselineCache, CacheStats, CampaignCell, CampaignConfig,
     CampaignReport, CellResult, InstanceMetrics, ParseProtocolError, Protocol, RunParams, PREFIX,
 };

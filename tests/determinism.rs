@@ -27,8 +27,8 @@ use stamp_repro::sim::{NullProbe, Sim};
 use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
 use stamp_repro::workload::{
     adversarial_grid, destination_candidates, flap_train, run_campaign, run_protocol_cell,
-    sample_canned, smoke_grid, CampaignConfig, PolicyRegime, RunOutcome, RunParams, Timeline,
-    WatchdogConfig,
+    sample_canned, smoke_grid, CampaignConfig, InstanceMetrics, PolicyRegime, RunOutcome,
+    RunParams, Timeline, WatchdogConfig,
 };
 
 /// The full single-link-failure workload, run twice with identical
@@ -176,6 +176,20 @@ fn single_link_failure_metrics_identical_across_thread_counts() {
 /// pattern.
 type Golden = (usize, usize, usize, usize, u64, u64, u64, u64, usize);
 
+fn golden_of(m: &InstanceMetrics) -> Golden {
+    (
+        m.affected,
+        m.affected_loops,
+        m.affected_blackholes,
+        m.control_affected,
+        m.updates_initial,
+        m.updates_failure,
+        m.convergence_delay_s.to_bits(),
+        m.data_recovery_s.to_bits(),
+        m.interned_paths,
+    )
+}
+
 /// The canned Figure 2 / 3a / 3b workloads, all four protocols, pinned to
 /// the exact metrics the pre-redesign `run_protocol_cell` (hand-rolled
 /// `Engine::new` wiring, boxed per-observation views) produced on this
@@ -225,18 +239,134 @@ fn canned_workload_metrics_match_pre_redesign_goldens() {
                 *p,
                 0x5EED ^ i as u64,
             );
-            let got: Golden = (
-                m.affected,
-                m.affected_loops,
-                m.affected_blackholes,
-                m.control_affected,
-                m.updates_initial,
-                m.updates_failure,
-                m.convergence_delay_s.to_bits(),
-                m.data_recovery_s.to_bits(),
-                m.interned_paths,
+            assert_eq!(
+                golden_of(&m),
+                *want,
+                "{:?} / {} drifted from golden",
+                scenario,
+                p
             );
-            assert_eq!(got, *want, "{:?} / {} drifted from golden", scenario, p);
+        }
+    }
+}
+
+/// `run_failure_experiment` end to end — topology, per-instance seeds,
+/// canned sampling and the worker pool — pinned per instance for all four
+/// scenarios and all four protocols at `FailureConfig::tiny`, at 1 worker
+/// and at 3 (one per instance). Rows are `[protocol][instance]` in
+/// `Protocol::ALL` order; every run must end `Converged`.
+#[test]
+fn failure_experiment_instances_match_goldens_at_any_worker_count() {
+    #[rustfmt::skip]
+    let golden: [(FailureScenario, [[Golden; 3]; 4]); 4] = [
+        (FailureScenario::SingleLink, [
+            [
+                (0, 0, 0, 8, 597, 131, 0x3f689374bc6a7efa, 0x0000000000000000, 60),
+                (0, 0, 0, 5, 367, 248, 0x3f68958d9b5e95b8, 0x0000000000000000, 50),
+                (172, 167, 172, 161, 554, 1061, 0x3f747cfa26a22b39, 0x3f747ae147ae147b, 112),
+            ],
+            [
+                (0, 0, 0, 8, 732, 228, 0x3f689374bc6a7efa, 0x0000000000000000, 231),
+                (0, 0, 0, 5, 487, 334, 0x3f70635a426bb55b, 0x0000000000000000, 202),
+                (170, 167, 3, 161, 693, 1482, 0x3f7894812be48a59, 0x3f689bd8383ad9f1, 427),
+            ],
+            [
+                (0, 0, 0, 0, 732, 212, 0x3f689374bc6a7efa, 0x0000000000000000, 230),
+                (0, 0, 0, 0, 487, 349, 0x3f70635a426bb55b, 0x0000000000000000, 219),
+                (2, 0, 2, 2, 693, 732, 0x3f747ae147ae147b, 0x3f50624dd2f1a9fc, 245),
+            ],
+            [
+                (82, 82, 0, 0, 776, 1292, 0x3f747bedb7281fda, 0x3f60624dd2f1a9fc, 133),
+                (0, 0, 0, 0, 741, 856, 0x3f747ae147ae147b, 0x0000000000000000, 96),
+                (0, 0, 0, 0, 761, 1115, 0x3f747cfa26a22b39, 0x0000000000000000, 123),
+            ],
+        ]),
+        (FailureScenario::TwoLinksDifferentAs, [
+            [
+                (0, 0, 0, 33, 597, 279, 0x3f68958d9b5e95b8, 0x0000000000000000, 66),
+                (4, 4, 3, 3, 458, 1360, 0x3f7cae21101b0037, 0x3f50624dd2f1a9fc, 169),
+                (167, 155, 167, 155, 554, 1101, 0x3f747cfa26a22b39, 0x3f747ae147ae147b, 112),
+            ],
+            [
+                (0, 0, 0, 33, 732, 398, 0x3f70635a426bb55b, 0x0000000000000000, 249),
+                (4, 4, 3, 3, 585, 16052, 0x3f8898b2e9ccb7d4, 0x3f50624dd2f1a9fc, 1724),
+                (158, 155, 3, 155, 693, 1571, 0x3f7894812be48a59, 0x3f689bd8383ad9f1, 427),
+            ],
+            [
+                (0, 0, 0, 25, 732, 379, 0x3f70635a426bb55b, 0x0000000000000000, 245),
+                (4, 4, 0, 1, 585, 1978, 0x3f847b677f6b1a2a, 0x0000000000000000, 336),
+                (2, 0, 2, 2, 693, 674, 0x3f747ae147ae147b, 0x3f50667f90d9d777, 244),
+            ],
+            [
+                (0, 0, 0, 0, 776, 1410, 0x3f789374bc6a7efa, 0x0000000000000000, 137),
+                (5, 0, 5, 0, 747, 1483, 0x3f7cad14a0a0f4d8, 0x3f50624dd2f1a9fc, 199),
+                (0, 0, 0, 0, 761, 1213, 0x3f747cfa26a22b39, 0x0000000000000000, 125),
+            ],
+        ]),
+        (FailureScenario::TwoLinksSameAs, [
+            [
+                (82, 0, 82, 22, 507, 243, 0x3f747ae147ae147b, 0x3f70624dd2f1a9fc, 49),
+                (14, 0, 14, 4, 408, 49, 0x3f606466b1e5c0ba, 0x0000000000000000, 41),
+                (172, 166, 172, 161, 554, 1062, 0x3f747cfa26a22b39, 0x3f747ae147ae147b, 113),
+            ],
+            [
+                (2, 0, 2, 10, 674, 353, 0x3f789374bc6a7efa, 0x3f70624dd2f1a9fc, 217),
+                (0, 0, 0, 4, 533, 82, 0x3f68958d9b5e95b8, 0x0000000000000000, 169),
+                (169, 166, 3, 161, 693, 1500, 0x3f7894812be48a59, 0x3f6899bf5946c333, 425),
+            ],
+            [
+                (3, 0, 3, 3, 674, 348, 0x3f789374bc6a7efa, 0x3f70635a426bb55b, 208),
+                (0, 0, 0, 0, 533, 89, 0x3f68958d9b5e95b8, 0x0000000000000000, 169),
+                (18, 0, 18, 61, 693, 992, 0x3f747cfa26a22b39, 0x3f68958d9b5e95b8, 291),
+            ],
+            [
+                (0, 0, 0, 0, 841, 479, 0x3f747bedb7281fda, 0x0000000000000000, 80),
+                (14, 0, 14, 0, 950, 743, 0x3f78958d9b5e95b8, 0x0000000000000000, 121),
+                (0, 0, 0, 0, 761, 1155, 0x3f747cfa26a22b39, 0x0000000000000000, 128),
+            ],
+        ]),
+        (FailureScenario::NodeFailure, [
+            [
+                (0, 0, 0, 12, 597, 65, 0x3f60624dd2f1a9fc, 0x0000000000000000, 58),
+                (0, 0, 0, 33, 367, 208, 0x3f70624dd2f1a9fc, 0x0000000000000000, 55),
+                (167, 167, 44, 158, 554, 1011, 0x3f706466b1e5c0ba, 0x3f70624dd2f1a9fc, 110),
+            ],
+            [
+                (0, 0, 0, 12, 732, 109, 0x3f60624dd2f1a9fc, 0x0000000000000000, 205),
+                (0, 0, 0, 33, 487, 291, 0x3f70624dd2f1a9fc, 0x0000000000000000, 210),
+                (167, 167, 0, 158, 693, 1340, 0x3f747bedb7281fda, 0x0000000000000000, 417),
+            ],
+            [
+                (8, 0, 8, 8, 732, 103, 0x3f689374bc6a7efa, 0x0000000000000000, 204),
+                (27, 0, 27, 27, 487, 254, 0x3f747ae147ae147b, 0x3f689374bc6a7efa, 199),
+                (14, 0, 14, 14, 693, 704, 0x3f70635a426bb55b, 0x3f689374bc6a7efa, 240),
+            ],
+            [
+                (114, 114, 4, 4, 776, 1331, 0x3f80624dd2f1a9fc, 0x3f70635a426bb55b, 153),
+                (0, 0, 0, 3, 741, 911, 0x3f7cac083126e979, 0x0000000000000000, 120),
+                (0, 0, 0, 0, 761, 1505, 0x3f747ae147ae147b, 0x0000000000000000, 157),
+            ],
+        ]),
+    ];
+
+    for (scenario, per_protocol) in &golden {
+        for threads in [1, 3] {
+            let mut cfg = FailureConfig::tiny(0x9E2);
+            cfg.threads = threads;
+            let rep = run_failure_experiment(&cfg, *scenario, &Protocol::ALL);
+            assert_eq!(rep.n_ases, 200);
+            for (p, want) in Protocol::ALL.iter().zip(per_protocol) {
+                let got = &rep.of(*p).per_instance;
+                assert_eq!(got.len(), want.len());
+                for (i, (m, w)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(m.outcome, RunOutcome::Converged);
+                    assert_eq!(
+                        golden_of(m),
+                        *w,
+                        "{scenario:?} / {p} / instance {i} at {threads} workers drifted from golden"
+                    );
+                }
+            }
         }
     }
 }

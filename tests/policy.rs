@@ -10,14 +10,14 @@
 //!    naive reference interpreter on randomized routes, import and
 //!    export both;
 //! 3. the default `gao-rexford` regime reproduces the paper's hardwired
-//!    §2.1 policy — the old `local_pref`/`export_ok` free functions —
-//!    over the full relation matrix.
+//!    §2.1 policy — its literal preference values and the valley-free
+//!    export matrix — over the full relation matrix.
 
 use stamp_repro::eventsim::check::cases;
 use stamp_repro::eventsim::Rng;
 use stamp_repro::policy::{
-    parse_pol, Action, CommunityBits, CommunitySet, Matcher, PolicyRegime, PrefixSet, Rule,
-    LEARNED_RELS, TO_RELS,
+    parse_pol, Action, CommunityBits, CommunitySet, CompiledRegime, Matcher, PolicyRegime,
+    PrefixSet, Rule, LEARNED_RELS, TO_RELS,
 };
 use stamp_repro::topology::Relation;
 
@@ -304,35 +304,39 @@ fn compiled_export_matches_reference_interpreter() {
 }
 
 /// The compiled default regime must keep answering exactly like the
-/// paper's hardwired §2.1 policy functions, everywhere they are defined.
+/// paper's hardwired §2.1 policy: local preference customer 300 > peer
+/// 200 > provider 100, own prefixes at 1000, and the valley-free export
+/// gate (own and customer routes to everyone, peer and provider routes to
+/// customers only). Both the freshly compiled regime and the process-wide
+/// `default_static` the engines use are checked.
 #[test]
 fn default_regime_reproduces_the_hardwired_paper_policy() {
-    let compiled = PolicyRegime::gao_rexford()
+    use Relation::{Customer, Peer, Provider};
+    let fresh = PolicyRegime::gao_rexford()
         .compile()
         .expect("default compiles");
-    assert!(compiled.is_default());
-    assert_eq!(
-        compiled.origin_pref(),
-        stamp_repro::bgp::policy::LOCAL_PREF_ORIGIN
-    );
-    for rel in TO_RELS {
-        assert_eq!(
-            compiled.base_pref(rel),
-            stamp_repro::bgp::policy::local_pref(rel),
-            "base pref drift at {rel:?}"
-        );
-    }
-    for learned in LEARNED_RELS {
-        for to in TO_RELS {
-            assert_eq!(
-                compiled.export_allowed(learned, to, CommunityBits::EMPTY),
-                stamp_repro::bgp::policy::export_ok(learned, to),
-                "export drift at learned={learned:?} to={to:?}"
-            );
+    for compiled in [&fresh, CompiledRegime::default_static()] {
+        assert!(compiled.is_default());
+        assert_eq!(compiled.origin_pref(), 1000);
+        for (rel, pref) in [(Customer, 300), (Peer, 200), (Provider, 100)] {
+            assert_eq!(compiled.base_pref(rel), pref, "base pref drift at {rel:?}");
+        }
+        // Rows: learned own / customer / peer / provider (LEARNED_RELS);
+        // columns: to customer / peer / provider (TO_RELS).
+        let valley_free = [
+            [true, true, true],
+            [true, true, true],
+            [true, false, false],
+            [true, false, false],
+        ];
+        for (learned, row) in LEARNED_RELS.into_iter().zip(valley_free) {
+            for (to, allowed) in TO_RELS.into_iter().zip(row) {
+                assert_eq!(
+                    compiled.export_allowed(learned, to, CommunityBits::EMPTY),
+                    allowed,
+                    "export drift at learned={learned:?} to={to:?}"
+                );
+            }
         }
     }
-    // And the classical orderings the paper relies on hold by value.
-    assert!(compiled.base_pref(Relation::Customer) > compiled.base_pref(Relation::Peer));
-    assert!(compiled.base_pref(Relation::Peer) > compiled.base_pref(Relation::Provider));
-    assert!(compiled.origin_pref() > compiled.base_pref(Relation::Customer));
 }
