@@ -75,30 +75,20 @@ echo "tier-1 gate passed (offline, incl. doctests)"
 cargo run --release --offline -q -p stamp_bench --bin polcheck
 echo "policy .pol round-trip gate passed"
 
-# --- Workload smoke campaign ---------------------------------------------
-# Tiny (timeline × destination × seed) grid at 1 and 4 workers; the binary
-# asserts the byte-identical aggregate hash (exits non-zero on divergence).
-# The output is kept: the debug-vs-release cross-check below reads the
-# release hash from it instead of running the grid a second time.
-smoke_release_out=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- --smoke)
-printf '%s\n' "$smoke_release_out"
-echo "smoke campaign passed (deterministic aggregate hash)"
-
-# --- Adversarial smoke sweep ----------------------------------------------
-# The hijack / prepend-hijack / route-leak / policy-misconfig grid, run
-# with the same three-way determinism assertion (1 worker, N workers,
-# warm-start) and pinned to its own aggregate golden — the same value
-# tests/determinism.rs pins. A drift here means an adversarial event's
-# injection order, RNG draw or metric changed.
-ADVERSARIAL_GOLDEN="0xfd8467442b256d70"
-adv_hash=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- \
-        --smoke --adversarial \
-    | grep 'adversarial smoke OK' | grep -o 'hash 0x[0-9a-f]*' | awk '{print $2}')
-if [ "$adv_hash" != "$ADVERSARIAL_GOLDEN" ]; then
-    echo "DETERMINISM VIOLATION: adversarial smoke hash golden=$ADVERSARIAL_GOLDEN got=$adv_hash" >&2
-    exit 1
-fi
-echo "adversarial smoke sweep passed ($ADVERSARIAL_GOLDEN)"
+# --- Golden table gate -----------------------------------------------------
+# Every grid of the golden table (`GOLDENS` in
+# crates/workload/src/goldens.rs: smoke, adversarial, campaign at 500
+# ASes, campaign_2000, and the policy sweep under each built-in regime),
+# each run cold at 1 worker, cold at N workers and warm (every cell forked
+# from a pre-converged checkpoint). The binary asserts the three passes
+# hash identically and that each aggregate equals its table entry, and
+# exits non-zero naming the grid, the golden and the hash it got on the
+# first mismatch — so a checkpoint/restore field omission that shifts
+# results stops CI even if it shifts them *consistently*. Naming the
+# default regime (`--policy gao-rexford`) must be a no-op: the run is the
+# pinned default. `--check` leaves BENCH_campaign.json untouched.
+cargo run --release --offline -q -p stamp_bench --bin campaign -- --policy gao-rexford --check
+echo "golden table gate passed (every GOLDENS entry, release)"
 
 # --- Divergence watchdog gate ---------------------------------------------
 # A known-diverging configuration (Griffin's BAD GADGET under the
@@ -130,51 +120,10 @@ fi
 echo "queryd daemon smoke gate passed (golden transcript byte-identical)"
 
 # --- Debug-vs-release determinism cross-check ----------------------------
-# The same smoke grid must hash identically under both profiles: a
+# The smoke grid must hash to the same golden under the debug profile: a
 # divergence means results depend on debug_assertions-gated code, an
 # overflow that release wraps silently, or float evaluation differences —
-# all determinism bugs. The pinned value is the golden from
-# tests/determinism.rs; three representations (test, debug run, release
-# run) must agree. The release hash is the smoke campaign step's output.
-SMOKE_GOLDEN="0x288f67a39b590c8d"
-hash_of() { grep -o 'hash 0x[0-9a-f]*' | head -1 | awk '{print $2}'; }
-release_hash=$(printf '%s\n' "$smoke_release_out" | hash_of)
-debug_hash=$(cargo run --offline -q -p stamp_bench --bin campaign -- --smoke | hash_of)
-if [ "$release_hash" != "$SMOKE_GOLDEN" ] || [ "$debug_hash" != "$SMOKE_GOLDEN" ]; then
-    echo "DETERMINISM VIOLATION: smoke hash golden=$SMOKE_GOLDEN release=$release_hash debug=$debug_hash" >&2
-    exit 1
-fi
-echo "debug-vs-release determinism cross-check passed ($SMOKE_GOLDEN)"
-
-# --- Warm-start golden-hash gate ------------------------------------------
-# The full default grids (campaign at 500 ASes, campaign_2000 at 2000),
-# each run cold-serial, cold-parallel and warm (every cell forked from a
-# pre-converged checkpoint). The binary itself asserts all three passes
-# hash identically per grid; here we additionally pin the aggregates to
-# the goldens, so a checkpoint/restore field omission that shifts results
-# stops CI even if it shifts them *consistently*. `--check` leaves
-# BENCH_campaign.json untouched.
-# Naming the default regime must be a no-op (`--policy gao-rexford` runs
-# the identical default grids), and the policy sweep appends one pinned
-# hash per built-in regime after the two grid aggregates — six goldens in
-# a fixed order, every one byte-exact.
-CAMPAIGN_GOLDEN="0x21ce716a105a0ebe"
-CAMPAIGN_2000_GOLDEN="0x817234e4f61711b4"
-SWEEP_GAO_GOLDEN="0xb326703a963aa9ec"
-SWEEP_SHORTEST_GOLDEN="0x800dbb531a835932"
-SWEEP_PREFER_PEER_GOLDEN="0x85e700ff012eef8f"
-SWEEP_LONG_PATH_GOLDEN="0xbe4941aa876c1b61"
-full_out=$(cargo run --release --offline -q -p stamp_bench --bin campaign -- \
-    --policy gao-rexford --check)
-full_hashes=$(printf '%s\n' "$full_out" | grep -o 'hash 0x[0-9a-f]*' | awk '{print $2}')
-if [ "$full_hashes" != "$CAMPAIGN_GOLDEN
-$CAMPAIGN_2000_GOLDEN
-$SWEEP_GAO_GOLDEN
-$SWEEP_SHORTEST_GOLDEN
-$SWEEP_PREFER_PEER_GOLDEN
-$SWEEP_LONG_PATH_GOLDEN" ]; then
-    echo "DETERMINISM VIOLATION: campaign goldens (grids + policy sweep), got:" >&2
-    printf '%s\n' "$full_hashes" >&2
-    exit 1
-fi
-echo "warm-start golden-hash gate passed ($CAMPAIGN_GOLDEN, $CAMPAIGN_2000_GOLDEN, 4 sweep hashes)"
+# all determinism bugs. `--smoke` asserts the table's `smoke` entry, the
+# one the release gate above and tests/determinism.rs check too.
+cargo run --offline -q -p stamp_bench --bin campaign -- --smoke
+echo "debug-vs-release determinism cross-check passed (smoke golden, debug)"

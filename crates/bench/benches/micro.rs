@@ -288,10 +288,11 @@ fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
 }
 
 /// The warm-start building blocks at campaign scale (2000 ASes):
-/// `snapshot_2000` / `restore_2000` are the engine-level checkpoint ops
-/// (memcpy-class buffer copies into pre-sized allocations — both are
-/// `simlint::hot`), `warm_cell_2000` is a full campaign cell forked from a
-/// cached baseline (restore + timeline replay, no cold convergence).
+/// `snapshot_2000` is the allocating `Engine::snapshot` that
+/// `Sim::checkpoint` runs, `restore_2000` the in-place restore
+/// (memcpy-class copies into the engine's pre-sized buffers, a
+/// `simlint::hot` function), `warm_cell_2000` a full campaign cell forked
+/// from a cached baseline (restore + timeline replay, no cold convergence).
 fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
     use stamp_bgp::engine::{Engine, EngineConfig};
     use stamp_bgp::router::BgpRouter;
@@ -315,9 +316,9 @@ fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
     e.start();
     e.run_to_quiescence(None);
 
-    let mut ck = e.snapshot();
+    let ck = e.snapshot();
     report.bench(h, "snapshot_2000", || {
-        e.snapshot_into(black_box(&mut ck));
+        black_box(e.snapshot());
     });
     report.bench(h, "restore_2000", || {
         e.restore(black_box(&ck));
@@ -326,10 +327,7 @@ fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
     let mut rng = rng_stream(900, tags::WORKLOAD);
     let w = sample_canned(&g, FailureScenario::SingleLink, &mut rng).expect("scenario fits");
     let removed = w.timeline.removed_links(&g).expect("timeline resolves");
-    let truth = StaticRoutes::compute(&g.without_links(&removed), w.dest);
-    let reachable: Vec<bool> = (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect();
+    let reachable = StaticRoutes::compute(&g.without_links(&removed), w.dest).reachable_mask();
     let params = RunParams::paper();
     let cache = BaselineCache::new();
     // First call converges cold and deposits the baseline; the benched

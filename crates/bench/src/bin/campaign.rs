@@ -1,41 +1,41 @@
 //! `campaign`: BGP vs R-BGP vs STAMP across the scenario-timeline
-//! families, on a sharded `(timeline × destination × seed)` grid.
+//! families, on sharded `(timeline × destination × seed)` grids.
 //!
 //! The five families exercise dynamics the paper's one-shot figures never
 //! see: a sub-MRAI link flap train, staggered two-link failures, a
 //! correlated tier-2 regional outage, rolling maintenance windows over
-//! providers, and random background churn. The grid runs twice — one
-//! worker, then all cores — asserting the byte-identical aggregate hash
-//! (the determinism contract of `stamp_workload::campaign`) and reporting
-//! the wall-clock speedup. Results (disruption/recovery aggregates plus
+//! providers, and random background churn. Every grid runs three times —
+//! cold at one worker, cold at all cores, warm from pre-converged
+//! checkpoints — asserting the byte-identical aggregate hash (the
+//! determinism contract of `stamp_workload::campaign`) and reporting the
+//! wall-clock speedups. Results (disruption/recovery aggregates plus
 //! throughput) go to `BENCH_campaign.json`.
 //!
-//! `--smoke` is the CI gate: a tiny fast-parameter grid, determinism
-//! assertion only, no JSON written.
+//! Without override flags the grids are the catalogue of
+//! `stamp_workload::goldens`, and at the default seed every aggregate
+//! hash is asserted against its `GOLDENS` entry: `--smoke` checks the
+//! smoke grid (the debug-build CI gate), `--check` every pinned grid
+//! without touching the JSON (the release CI gate).
 
 #![forbid(unsafe_code)]
 
-use stamp_bench::parse_args;
-use stamp_eventsim::rng::tags;
-use stamp_eventsim::rng_stream;
+use stamp_bench::{parse_args, CommonArgs};
 use stamp_queryd::{proto_token, serve, QueryEngine, QuerydConfig};
-use stamp_topology::gen::generate;
 use stamp_topology::{AsGraph, AsId, GenConfig};
+use stamp_workload::goldens::{
+    self, standard_grid, sweep_slice, GoldenGrid, Grid, GOLDENS, GOLDEN_SEED,
+};
 use stamp_workload::{
-    adversarial_grid, choose_k, destination_candidates, populate_baselines, run_campaign,
-    run_campaign_with_cache, smoke_grid, standard_families, BaselineCache, CacheStats,
-    CampaignConfig, CampaignReport, PolicyRegime, Protocol, RunParams, Timeline,
+    populate_baselines, run_campaign, run_campaign_with_cache, BaselineCache, CacheStats,
+    CampaignReport, PolicyRegime, Protocol, Timeline,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Default protocol set (the R-BGP variant runs with RCI); override with
-/// `--protocols bgp,rbgp-norci,rbgp,stamp` (labels or aliases, see
-/// `Protocol::from_str`).
-const PROTOCOLS: [Protocol; 3] = [Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp];
-
 struct GridRun {
     report: CampaignReport,
+    /// The grid's protocol axis, config order.
+    protocols: Vec<Protocol>,
     wall_1: f64,
     wall_n: f64,
     /// Serial wall clock with every baseline pre-converged (cells fork
@@ -51,21 +51,16 @@ struct GridRun {
 /// byte-identical aggregate across all three. The warm-equals-cold check
 /// is the campaign-scale proof that `restore` rewinds everything a replay
 /// depends on.
-fn run_twice(
-    g: &AsGraph,
-    timelines: &[Timeline],
-    dests: &[AsId],
-    cfg: &mut CampaignConfig,
-    threads_n: usize,
-) -> GridRun {
+fn run_grid((g, timelines, dests, cfg): &Grid, threads_n: usize) -> GridRun {
+    let mut cfg = cfg.clone();
     cfg.threads = 1;
     let t0 = Instant::now();
-    let serial = run_campaign(g, timelines, dests, cfg).expect("timelines resolve");
+    let serial = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
     let wall_1 = t0.elapsed().as_secs_f64();
 
     cfg.threads = threads_n;
     let t0 = Instant::now();
-    let parallel = run_campaign(g, timelines, dests, cfg).expect("timelines resolve");
+    let parallel = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
     let wall_n = t0.elapsed().as_secs_f64();
 
     assert_eq!(
@@ -75,13 +70,13 @@ fn run_twice(
 
     let cache = BaselineCache::new();
     let t0 = Instant::now();
-    populate_baselines(g, timelines.len(), dests, cfg, &cache);
+    populate_baselines(g, timelines.len(), dests, &cfg, &cache);
     let wall_populate = t0.elapsed().as_secs_f64();
 
     cfg.threads = 1;
     let t0 = Instant::now();
-    let warm =
-        run_campaign_with_cache(g, timelines, dests, cfg, Some(&cache)).expect("timelines resolve");
+    let warm = run_campaign_with_cache(g, timelines, dests, &cfg, Some(&cache))
+        .expect("timelines resolve");
     let wall_warm_1 = t0.elapsed().as_secs_f64();
     assert_eq!(
         serial.hash, warm.hash,
@@ -90,6 +85,7 @@ fn run_twice(
 
     GridRun {
         report: parallel,
+        protocols: cfg.protocols,
         wall_1,
         wall_n,
         wall_warm_1,
@@ -98,7 +94,7 @@ fn run_twice(
     }
 }
 
-fn print_report(run: &GridRun, protocols: &[Protocol]) {
+fn print_report(run: &GridRun) {
     let rep = &run.report;
     let cells = rep.cells.len();
     println!(
@@ -120,7 +116,7 @@ fn print_report(run: &GridRun, protocols: &[Protocol]) {
         "diverged"
     );
     for (t, name) in rep.timeline_names.iter().enumerate() {
-        for &p in protocols {
+        for &p in &run.protocols {
             let a = rep.aggregate(t, p);
             println!(
                 "{:<20} {:<18} {:>9.2} {:>9.2} {:>12.2} {:>12.2} {:>12.1} {:>9}",
@@ -266,6 +262,7 @@ fn query_json(s: &mut String, key: &str, q: &QueryRun) {
 /// fingerprint (the value that also keys the baseline cache).
 struct PolicySweepRow {
     name: String,
+    cells: usize,
     fingerprint: u64,
     hash: u64,
     wall_s: f64,
@@ -273,34 +270,18 @@ struct PolicySweepRow {
     affected: Vec<(Protocol, f64)>,
 }
 
-/// Re-run one grid under each regime (one parallel pass per regime — the
-/// determinism assertions already ran on the primary grid) and report the
-/// per-regime aggregate hashes. Distinct hashes are the evidence that the
-/// policy axis actually reaches every router's decision process.
-fn run_policy_sweep(
-    g: &AsGraph,
-    timelines: &[Timeline],
-    dests: &[AsId],
-    base_cfg: &CampaignConfig,
-    threads_n: usize,
-    regimes: &[PolicyRegime],
-) -> (usize, Vec<PolicySweepRow>) {
-    let mut rows = Vec::with_capacity(regimes.len());
-    let mut cells = 0;
-    for regime in regimes {
-        let mut cfg = base_cfg.clone();
-        cfg.params.policy = regime.clone();
-        cfg.threads = threads_n;
-        let t0 = Instant::now();
-        let rep = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
-        let wall_s = t0.elapsed().as_secs_f64();
-        cells = rep.cells.len();
-        let affected = cfg
+impl PolicySweepRow {
+    /// The row of one sweep grid's run. Distinct hashes across regimes are
+    /// the evidence that the policy axis reaches every router's decision
+    /// process.
+    fn of(regime: &PolicyRegime, run: &GridRun) -> PolicySweepRow {
+        let cells = &run.report.cells;
+        let affected = run
             .protocols
             .iter()
             .map(|&p| {
                 let (mut sum, mut n) = (0.0, 0usize);
-                for c in &rep.cells {
+                for c in cells {
                     if let Some((_, m)) = c.metrics.iter().find(|(q, _)| *q == p) {
                         sum += m.affected as f64;
                         n += 1;
@@ -309,20 +290,20 @@ fn run_policy_sweep(
                 (p, if n == 0 { 0.0 } else { sum / n as f64 })
             })
             .collect();
-        rows.push(PolicySweepRow {
+        PolicySweepRow {
             name: regime.name.clone(),
+            cells: cells.len(),
             fingerprint: regime.fingerprint(),
-            hash: rep.hash,
-            wall_s,
+            hash: run.report.hash,
+            wall_s: run.wall_n,
             affected,
-        });
+        }
     }
-    (cells, rows)
 }
 
-fn policy_sweep_json(s: &mut String, cells: usize, rows: &[PolicySweepRow]) {
+fn policy_sweep_json(s: &mut String, rows: &[PolicySweepRow]) {
     let _ = writeln!(s, "  \"policy_sweep\": {{");
-    let _ = writeln!(s, "    \"cells\": {cells},");
+    let _ = writeln!(s, "    \"cells\": {},", rows[0].cells);
     let _ = writeln!(s, "    \"cores\": {},", cores());
     s.push_str("    \"regimes\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -345,26 +326,6 @@ fn policy_sweep_json(s: &mut String, cells: usize, rows: &[PolicySweepRow]) {
     s.push_str("\n    ]\n  }");
 }
 
-/// The adversarial sweep: hijack / route-leak / policy-misconfig families
-/// on the smoke topology (the grid is fixed by `adversarial_grid`, whose
-/// protocol axis matches [`PROTOCOLS`]), with the same three-way
-/// determinism assertion as every other grid. Returns the run plus the
-/// number of `(cell, protocol)` measures that did not converge — the
-/// watchdog turning a wedged control plane into a typed, countable
-/// outcome is the point of the sweep.
-fn run_adversarial(seed: u64, threads_n: usize) -> (GridRun, usize) {
-    let (g, timelines, dests, mut cfg) = adversarial_grid(seed);
-    let run = run_twice(&g, &timelines, &dests, &mut cfg, threads_n);
-    let diverged = run
-        .report
-        .cells
-        .iter()
-        .flat_map(|c| c.metrics.iter())
-        .filter(|(_, m)| !m.outcome.is_converged())
-        .count();
-    (run, diverged)
-}
-
 /// Logical CPUs of the host running the benchmark — recorded so a
 /// speedup ≈ 1 row on a one-core container is legible as a machine
 /// property, not a scaling regression.
@@ -374,7 +335,7 @@ fn cores() -> usize {
         .unwrap_or(1)
 }
 
-fn json_object(s: &mut String, key: &str, run: &GridRun, protocols: &[Protocol]) {
+fn json_object(s: &mut String, key: &str, run: &GridRun) {
     let rep = &run.report;
     let cells = rep.cells.len();
     let _ = writeln!(s, "  \"{key}\": {{");
@@ -411,7 +372,7 @@ fn json_object(s: &mut String, key: &str, run: &GridRun, protocols: &[Protocol])
     s.push_str("    \"families\": [\n");
     let mut first = true;
     for (t, name) in rep.timeline_names.iter().enumerate() {
-        for &p in protocols {
+        for &p in &run.protocols {
             let a = rep.aggregate(t, p);
             if !first {
                 s.push_str(",\n");
@@ -440,13 +401,13 @@ fn json_object(s: &mut String, key: &str, run: &GridRun, protocols: &[Protocol])
 }
 
 /// Write one JSON object per recorded grid (`campaign` = the primary grid;
-/// `campaign_2000` = the scale row and `query_throughput` the resident-
-/// daemon row, when run).
+/// `campaign_2000` = the scale row, `adversarial` the adversarial sweep,
+/// `query_throughput` the resident-daemon row and `policy_sweep` one entry
+/// per regime, when run).
 fn write_json(
-    runs: &[(&str, &GridRun)],
+    runs: &[(String, GridRun)],
     query: Option<&QueryRun>,
-    sweep: Option<&(usize, Vec<PolicySweepRow>)>,
-    protocols: &[Protocol],
+    sweep: &[PolicySweepRow],
     path: &str,
 ) {
     let mut s = String::from("{\n");
@@ -454,50 +415,102 @@ fn write_json(
         if i > 0 {
             s.push_str(",\n");
         }
-        json_object(&mut s, key, run, protocols);
+        json_object(&mut s, key, run);
     }
     if let Some(q) = query {
         s.push_str(",\n");
         query_json(&mut s, "query_throughput", q);
     }
-    if let Some((cells, rows)) = sweep {
+    if !sweep.is_empty() {
         s.push_str(",\n");
-        policy_sweep_json(&mut s, *cells, rows);
+        policy_sweep_json(&mut s, sweep);
     }
     s.push_str("\n}\n");
     std::fs::write(path, s).expect("write BENCH_campaign.json");
     println!("wrote {path}");
 }
 
+/// The grid the override flags describe: [`standard_grid`] sized by
+/// `--ases/--dests/--seeds`, its timelines replaced by any `--scn` files,
+/// run under `--protocols` and the first `--policy` regime.
+fn override_grid(args: &CommonArgs, seed: u64, regime: &PolicyRegime) -> Grid {
+    let smoke = args.smoke;
+    let n_ases = if smoke {
+        GenConfig::small(seed).n_ases
+    } else {
+        args.ases.unwrap_or(500)
+    };
+    let n_dests = args.dests.unwrap_or(if smoke { 2 } else { 4 });
+    let n_seeds = args.seeds.unwrap_or(if smoke { 1 } else { 2 });
+    let Some((g, mut timelines, dests, mut cfg)) =
+        standard_grid(seed, n_ases, n_dests, n_seeds, smoke)
+    else {
+        eprintln!(
+            "campaign: no destinations (--ases {n_ases}, --dests {n_dests}) — nothing to run"
+        );
+        std::process::exit(2);
+    };
+    // Campaigns are data: `--scn` files replace the built-in families.
+    if !args.scn.is_empty() {
+        timelines = args
+            .scn
+            .iter()
+            .map(|path| {
+                let text =
+                    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+                text.parse::<Timeline>()
+                    .unwrap_or_else(|e| panic!("parse {path}: {e}"))
+            })
+            .collect();
+    }
+    if let Some(list) = &args.protocols {
+        cfg.protocols = list
+            .split(',')
+            .map(|s| {
+                s.parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                })
+            })
+            .collect();
+    }
+    cfg.params.policy = regime.clone();
+    (g, timelines, dests, cfg)
+}
+
 fn main() {
     let args = parse_args(
         "campaign [--ases N] [--dests N] [--seeds N] [--seed N] [--threads N] \
-         [--protocols LIST] [--scn FILE]... [--smoke]\n\
+         [--protocols LIST] [--policy LIST] [--scn FILE]... [--adversarial] [--smoke] \
+         [--check]\n\
          Runs the scenario-timeline campaign (flap trains, staggered failures,\n\
          regional outages, maintenance drains, background churn) for BGP, R-BGP\n\
-         and STAMP over a (timeline × destination × seed) grid, twice (1 worker,\n\
-         then --threads/all), asserts the byte-identical aggregate hash, and\n\
-         writes BENCH_campaign.json.\n\
+         and STAMP over (timeline × destination × seed) grids, three times each\n\
+         (cold at 1 worker, cold at --threads/all, warm from checkpoints),\n\
+         asserts the byte-identical aggregate hash, and writes\n\
+         BENCH_campaign.json.\n\
+         With no override flag (--ases, --dests, --seeds, --protocols, --scn,\n\
+         a --policy other than gao-rexford) the run covers every grid of the\n\
+         golden table in stamp_workload::goldens (smoke, adversarial, campaign,\n\
+         campaign_2000 and the policy sweep under each built-in regime) and,\n\
+         at the default --seed, exits 1 unless each hash equals its golden.\n\
          --protocols LIST: comma-separated protocols to compare (labels or\n\
          aliases: bgp, rbgp-norci, rbgp, stamp; default bgp,rbgp,stamp).\n\
          --policy LIST: comma-separated policy regimes (built-ins:\n\
          gao-rexford, shortest-path, prefer-peer, long-path-tax; default\n\
-         gao-rexford). The first entry is the regime the grids run under;\n\
-         the full default run also sweeps every built-in into a\n\
-         policy_sweep row of BENCH_campaign.json.\n\
+         gao-rexford). The first entry is the regime the grid runs under;\n\
+         a list of several also sweeps each into a policy_sweep row.\n\
          --scn FILE (repeatable): run timelines parsed from .scn files instead\n\
          of the built-in families (see scenarios/ for samples).\n\
          --adversarial: also run the adversarial sweep (prefix hijack,\n\
          prepend hijack, route leak, policy misconfig) and record its\n\
-         per-protocol blackholed/affected/diverged counts — an extra\n\
-         \"adversarial\" object in BENCH_campaign.json, or an extra pinned\n\
-         hash line under --smoke.\n\
-         --smoke: tiny fast grid, determinism assertion only (the CI gate).\n\
-         --check: run the full grids and assertions but leave\n\
-         BENCH_campaign.json untouched (the CI golden-hash gate).",
+         per-protocol blackholed/affected/diverged counts.\n\
+         --smoke: the tiny fast smoke grid only (plus the adversarial grid\n\
+         with --adversarial), no JSON written (the debug-build CI gate).\n\
+         --check: run every grid and assertion but leave BENCH_campaign.json\n\
+         untouched (the release CI golden gate).",
     );
-    let seed = args.seed.unwrap_or(0xCA4A16);
-    let smoke = args.smoke;
+    let seed = args.seed.unwrap_or(GOLDEN_SEED);
     let regimes: Vec<PolicyRegime> = match &args.policy {
         None => vec![PolicyRegime::gao_rexford()],
         Some(list) => list
@@ -516,87 +529,15 @@ fn main() {
             .collect(),
     };
     // `--policy gao-rexford` is the default spelled out: it must not
-    // change grid selection (the CI golden gate runs `--check` both ways).
-    let policy_default = regimes.len() == 1 && regimes[0].is_default();
-    let protocols: Vec<Protocol> = match &args.protocols {
-        None => PROTOCOLS.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                s.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    };
-
-    // The default-flag smoke invocation (the CI gate) takes its grid from
-    // `smoke_grid` — the same constructor the golden determinism test
-    // pins, so the two cannot drift apart. Any override flag switches to
-    // the generic construction below.
-    let smoke_default = smoke
-        && args.scn.is_empty()
-        && args.ases.is_none()
-        && args.dests.is_none()
-        && args.seeds.is_none()
-        && args.protocols.is_none()
-        && policy_default;
-    let (g, timelines, dests, mut cfg) = if smoke_default {
-        smoke_grid(seed)
-    } else {
-        let gen = if smoke {
-            GenConfig::small(seed)
-        } else {
-            GenConfig {
-                n_ases: args.ases.unwrap_or(500),
-                ..GenConfig::small(seed)
-            }
-        };
-        let g = generate(&gen).expect("valid generator config");
-
-        let mut rng = rng_stream(seed, tags::TIMELINE);
-        let n_dests = args.dests.unwrap_or(if smoke { 2 } else { 4 });
-        let dests = choose_k(&mut rng, &destination_candidates(&g), n_dests);
-        if dests.is_empty() {
-            eprintln!(
-                "campaign: no destinations (--dests {n_dests}, {} multi-homed candidates \
-                 in the topology) — nothing to run",
-                destination_candidates(&g).len()
-            );
-            std::process::exit(2);
-        }
-        // Campaigns are data: `--scn` files replace the built-in families.
-        let timelines: Vec<Timeline> = if args.scn.is_empty() {
-            standard_families(&g, &mut rng, &dests, smoke)
-        } else {
-            args.scn
-                .iter()
-                .map(|path| {
-                    let text = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("read {path}: {e}"));
-                    text.parse::<Timeline>()
-                        .unwrap_or_else(|e| panic!("parse {path}: {e}"))
-                })
-                .collect()
-        };
-        let n_seeds = args.seeds.unwrap_or(if smoke { 1 } else { 2 });
-        let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| seed ^ (i << 17)).collect();
-
-        let mut params = if smoke {
-            RunParams::fast()
-        } else {
-            RunParams::paper()
-        };
-        params.policy = regimes[0].clone();
-        let cfg = CampaignConfig {
-            params,
-            protocols: protocols.clone(),
-            seeds,
-            threads: 0,
-        };
-        (g, timelines, dests, cfg)
-    };
+    // change grid selection (the CI golden gate runs `--check` that way).
+    let overridden = !args.scn.is_empty()
+        || args.ases.is_some()
+        || args.dests.is_some()
+        || args.seeds.is_some()
+        || args.protocols.is_some()
+        || !(regimes.len() == 1 && regimes[0].is_default());
+    // Goldens are pinned for the catalogue grids at the default seed only.
+    let pinned = !overridden && seed == GOLDEN_SEED;
     let threads_n = if args.threads > 0 {
         args.threads
     } else {
@@ -606,165 +547,143 @@ fn main() {
             .max(4)
     };
 
-    let run = run_twice(&g, &timelines, &dests, &mut cfg, threads_n);
-    if smoke {
-        println!(
-            "smoke campaign OK: {} cells, hash 0x{:016x} identical at 1 worker, {} workers \
-             and warm-start",
-            run.report.cells.len(),
-            run.report.hash,
-            run.threads_n
-        );
-        if args.adversarial {
-            let (adv, diverged) = run_adversarial(seed, threads_n);
-            println!(
-                "adversarial smoke OK: {} cells, {} diverged, hash 0x{:016x} identical at \
-                 1 worker, {} workers and warm-start",
-                adv.report.cells.len(),
-                diverged,
-                adv.report.hash,
-                adv.threads_n
-            );
+    // Which grids run: `--smoke` the smoke grid; otherwise, with no
+    // override, every grid of the golden table, and with overrides the
+    // override grid plus its sweep slice per regime when `--policy` names
+    // several. `--adversarial` adds the adversarial grid.
+    let mut kinds: Vec<GoldenGrid> = if args.smoke {
+        vec![GoldenGrid::Smoke]
+    } else if !overridden {
+        GOLDENS
+            .iter()
+            .map(|(name, _)| GoldenGrid::from_name(name).expect("every golden names a grid"))
+            .collect()
+    } else {
+        let mut kinds = vec![GoldenGrid::Campaign];
+        if regimes.len() > 1 {
+            kinds.extend(regimes.iter().cloned().map(GoldenGrid::Sweep));
         }
+        kinds
+    };
+    if args.adversarial && !kinds.contains(&GoldenGrid::Adversarial) {
+        kinds.push(GoldenGrid::Adversarial);
+    }
+    let custom = overridden.then(|| override_grid(&args, seed, &regimes[0]));
+    let build = |kind: &GoldenGrid| match (kind, &custom) {
+        (GoldenGrid::Smoke | GoldenGrid::Campaign, Some(grid)) => grid.clone(),
+        (GoldenGrid::Sweep(regime), Some(grid)) => sweep_slice(grid.clone(), regime),
+        _ => kind.build(seed),
+    };
+
+    let mut rows: Vec<(String, GridRun)> = Vec::new();
+    let mut query_run = None;
+    let mut sweep = Vec::new();
+    for kind in &kinds {
+        let grid = build(kind);
+        let run = run_grid(&grid, threads_n);
+        let name = kind.name();
+        if pinned {
+            if let Err(e) = goldens::check(&name, run.report.hash) {
+                eprintln!("GOLDEN MISMATCH: {e}");
+                std::process::exit(1);
+            }
+        }
+        let cells = run.report.cells.len();
+        match kind {
+            GoldenGrid::Smoke => println!(
+                "smoke campaign OK: {cells} cells, hash 0x{:016x} identical at 1 worker, \
+                 {} workers and warm-start",
+                run.report.hash, run.threads_n
+            ),
+            // The adversarial axis: hijacks, route leaks and a policy
+            // misconfig as timeline events, recorded per protocol (STAMP's
+            // blue process never sees the forged announcement, so its
+            // blackhole column is the paper's robustness claim in one
+            // number). The `diverged` count proves the watchdog folds
+            // non-convergence into the aggregate instead of wedging the
+            // sweep.
+            GoldenGrid::Adversarial => {
+                let diverged = run
+                    .report
+                    .cells
+                    .iter()
+                    .flat_map(|c| c.metrics.iter())
+                    .filter(|(_, m)| !m.outcome.is_converged())
+                    .count();
+                println!(
+                    "adversarial sweep OK: {cells} cells, {diverged} diverged, hash 0x{:016x} \
+                     identical at 1 worker, {} workers and warm-start",
+                    run.report.hash, run.threads_n
+                );
+                if !args.smoke {
+                    print_report(&run);
+                    rows.push((name, run));
+                }
+            }
+            GoldenGrid::Campaign => {
+                print_report(&run);
+                // The resident-daemon row: converge the default grid's
+                // cells once in a queryd engine, then stream a batch of
+                // single-cell what-ifs through the serving loop. The bar:
+                // answering a warm query must beat the warm campaign path
+                // per cell (a query is one protocol measure; a campaign
+                // cell runs all of them — a resident daemon that lost to
+                // the batch runner would have no reason to exist).
+                if !overridden {
+                    let (g, _, dests, cfg) = &grid;
+                    let q = run_query_throughput(g, dests, &cfg.protocols, seed, 120);
+                    let rate = q.queries as f64 / q.wall_s;
+                    let warm_rate = cells as f64 / run.wall_warm_1;
+                    println!(
+                        "query throughput: {} baselines converged in {:.2} s, then {} queries \
+                         in {:.2} s ({rate:.2} queries/s vs {warm_rate:.2} warm cells/s)",
+                        q.baselines, q.wall_s_startup, q.queries, q.wall_s
+                    );
+                    assert!(
+                        rate >= warm_rate,
+                        "resident queries ({rate:.2}/s) slower than the warm campaign path \
+                         ({warm_rate:.2} cells/s)"
+                    );
+                    query_run = Some(q);
+                }
+                rows.push((name, run));
+            }
+            // The scale row: the same families at 2000 ASes, recording
+            // whether per-cell throughput holds up at 4× topology size.
+            GoldenGrid::Scale => {
+                print_report(&run);
+                rows.push((name, run));
+            }
+            GoldenGrid::Sweep(regime) => {
+                let r = PolicySweepRow::of(regime, &run);
+                println!(
+                    "policy sweep {:<16} {cells} cells, fingerprint 0x{:016x} hash 0x{:016x} \
+                     {:>7.2} s  affected mean: {}",
+                    r.name,
+                    r.fingerprint,
+                    r.hash,
+                    r.wall_s,
+                    r.affected
+                        .iter()
+                        .map(|(p, a)| format!("{} {a:.2}", p.label()))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                );
+                sweep.push(r);
+            }
+        }
+    }
+
+    if pinned {
+        let names: Vec<String> = kinds.iter().map(GoldenGrid::name).collect();
+        println!("golden table OK: {}", names.join(", "));
+    }
+    if args.smoke {
         return;
     }
-    print_report(&run, &protocols);
-
-    // The scale row: the same families at 2000 ASes (fewer destinations ×
-    // seeds, so the row costs about as much wall clock as the main grid)
-    // recording whether per-cell throughput holds up at 4× topology size.
-    // Skipped when the caller overrides the grid shape — the row is only
-    // comparable on the default configuration.
-    let default_grid = args.scn.is_empty()
-        && args.ases.is_none()
-        && args.dests.is_none()
-        && args.seeds.is_none()
-        && args.protocols.is_none()
-        && policy_default;
-    let run_2000 = if default_grid {
-        let gen = GenConfig {
-            n_ases: 2000,
-            ..GenConfig::small(seed)
-        };
-        let g = generate(&gen).expect("valid generator config");
-        let mut rng = rng_stream(seed, tags::TIMELINE);
-        let dests = choose_k(&mut rng, &destination_candidates(&g), 2);
-        let timelines = standard_families(&g, &mut rng, &dests, false);
-        let mut cfg = CampaignConfig {
-            params: RunParams::paper(),
-            protocols: protocols.clone(),
-            seeds: vec![seed],
-            threads: 0,
-        };
-        let run = run_twice(&g, &timelines, &dests, &mut cfg, threads_n);
-        print_report(&run, &protocols);
-        Some(run)
-    } else {
-        None
-    };
-
-    // The resident-daemon row: converge the default grid's cells once in a
-    // queryd engine, then stream a batch of single-cell what-ifs through
-    // the serving loop. The bar: answering a warm query must beat the warm
-    // campaign path per cell (a query is one protocol measure; a campaign
-    // cell runs all of them — a resident daemon that lost to the batch
-    // runner would have no reason to exist).
-    let query_run = if default_grid {
-        let q = run_query_throughput(&g, &dests, &protocols, seed, 120);
-        let rate = q.queries as f64 / q.wall_s;
-        let warm_rate = run.report.cells.len() as f64 / run.wall_warm_1;
-        println!(
-            "query throughput: {} baselines converged in {:.2} s, then {} queries in {:.2} s \
-             ({rate:.2} queries/s vs {warm_rate:.2} warm cells/s)",
-            q.baselines, q.wall_s_startup, q.queries, q.wall_s
-        );
-        assert!(
-            rate >= warm_rate,
-            "resident queries ({rate:.2}/s) slower than the warm campaign path ({warm_rate:.2} cells/s)"
-        );
-        Some(q)
-    } else {
-        None
-    };
-
-    // The policy axis: re-run a reduced grid (2 destinations, 1 seed —
-    // the regime axis replaces the seed axis as the thing being varied)
-    // under every built-in regime on a full default run, or under the
-    // `--policy` list when the caller named several.
-    let sweep_regimes: Vec<PolicyRegime> = if default_grid {
-        PolicyRegime::builtins()
-    } else if regimes.len() > 1 {
-        regimes.clone()
-    } else {
-        Vec::new()
-    };
-    let policy_sweep = if sweep_regimes.is_empty() {
-        None
-    } else {
-        let sweep_dests = &dests[..dests.len().min(2)];
-        let mut base = cfg.clone();
-        base.seeds.truncate(1);
-        let (cells, rows) = run_policy_sweep(
-            &g,
-            &timelines,
-            sweep_dests,
-            &base,
-            threads_n,
-            &sweep_regimes,
-        );
-        println!("policy sweep: {cells} cells per regime");
-        for r in &rows {
-            let affected = r
-                .affected
-                .iter()
-                .map(|(p, a)| format!("{} {a:.2}", p.label()))
-                .collect::<Vec<_>>()
-                .join(", ");
-            println!(
-                "{:<16} fingerprint 0x{:016x} hash 0x{:016x} {:>7.2} s  affected mean: {affected}",
-                r.name, r.fingerprint, r.hash, r.wall_s
-            );
-        }
-        Some((cells, rows))
-    };
-
-    // The adversarial axis: hijacks, route leaks and a policy misconfig
-    // as first-class timeline events, recorded per protocol (STAMP's
-    // blue process never sees the forged announcement, so its blackhole
-    // column is the paper's robustness claim in one number). The grid's
-    // `diverged` counts prove the watchdog folds non-convergence into
-    // the aggregate instead of wedging the sweep.
-    let adversarial_run = if args.adversarial {
-        let (adv, diverged) = run_adversarial(seed, threads_n);
-        println!(
-            "adversarial sweep: {} cells, {} diverged (hijack / route-leak / policy-misconfig)",
-            adv.report.cells.len(),
-            diverged
-        );
-        // The adversarial grid's protocol axis is fixed by its
-        // constructor and matches the default set.
-        print_report(&adv, &PROTOCOLS);
-        Some(adv)
-    } else {
-        None
-    };
-
     if args.check {
         println!("check mode: BENCH_campaign.json left untouched");
         return;
     }
-    let mut rows: Vec<(&str, &GridRun)> = vec![("campaign", &run)];
-    if let Some(r) = &run_2000 {
-        rows.push(("campaign_2000", r));
-    }
-    if let Some(r) = &adversarial_run {
-        rows.push(("adversarial", r));
-    }
-    write_json(
-        &rows,
-        query_run.as_ref(),
-        policy_sweep.as_ref(),
-        &protocols,
-        "BENCH_campaign.json",
-    );
+    write_json(&rows, query_run.as_ref(), &sweep, "BENCH_campaign.json");
 }

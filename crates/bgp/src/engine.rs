@@ -663,9 +663,6 @@ impl<R: RouterLogic> Engine<R> {
     /// arena (contents and high-water mark). Restoring it — on this
     /// engine, a clone, or an identically constructed fresh engine —
     /// resumes the simulation bit-identically.
-    ///
-    /// Allocating constructor; reuse the buffers of an existing checkpoint
-    /// with [`Engine::snapshot_into`] on repeated captures.
     pub fn snapshot(&self) -> Checkpoint<R>
     where
         R: Clone,
@@ -684,29 +681,6 @@ impl<R: RouterLogic> Engine<R> {
             stats: self.stats,
             started: self.started,
         }
-    }
-
-    /// [`Engine::snapshot`] into caller-owned buffers: repeated captures
-    /// reuse the checkpoint's allocations (`clone_from` all the way down
-    /// the flat `Vec` state).
-    // simlint::hot
-    pub fn snapshot_into(&self, ck: &mut Checkpoint<R>)
-    where
-        R: Clone,
-    {
-        ck.routers.clone_from(&self.routers);
-        ck.paths.clone_from(&self.paths);
-        ck.sched.clone_from(&self.sched);
-        ck.state.link_up.clone_from(&self.state.link_up);
-        ck.state.node_up.clone_from(&self.state.node_up);
-        ck.channels.clone_from(&self.channels);
-        ck.mrai.clone_from(&self.mrai);
-        ck.link_epoch.clone_from(&self.link_epoch);
-        ck.scenario_seq = self.scenario_seq;
-        ck.delay_rng.clone_from(&self.delay_rng);
-        ck.loss_rng.clone_from(&self.loss_rng);
-        ck.stats = self.stats;
-        ck.started = self.started;
     }
 
     /// Restore a [`Checkpoint`] taken from this engine (or an identically
@@ -1700,15 +1674,6 @@ mod tests {
         );
         let third = play(&mut f);
         assert_eq!(first, third, "fresh-engine replay diverged");
-
-        // snapshot_into reuses an existing checkpoint's buffers and
-        // captures state a restore reproduces exactly.
-        f.restore(&ck);
-        let mut ck2 = e.snapshot();
-        f.snapshot_into(&mut ck2);
-        let mut h = engine(g.clone(), AsId(4), 11);
-        h.restore(&ck2);
-        assert_eq!(play(&mut h), first, "snapshot_into replay diverged");
     }
 }
 

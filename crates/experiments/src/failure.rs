@@ -30,7 +30,7 @@ use crate::stats;
 use stamp_eventsim::rng::tags;
 use stamp_eventsim::rng_stream;
 use stamp_topology::gen::{generate, GenConfig};
-use stamp_topology::{AsId, StaticRoutes};
+use stamp_topology::StaticRoutes;
 use stamp_workload::campaign::{run_protocol_cell, run_sharded, RunParams};
 use stamp_workload::canned::sample_canned;
 
@@ -220,10 +220,7 @@ fn run_instance(
         // simlint::allow(panic, "the canned timeline was built against this same graph")
         .expect("canned timelines resolve against their own topology");
     let g_after = g.without_links(&removed);
-    let truth = StaticRoutes::compute(&g_after, w.dest);
-    let reachable: Vec<bool> = (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect();
+    let reachable = StaticRoutes::compute(&g_after, w.dest).reachable_mask();
 
     protocols
         .iter()

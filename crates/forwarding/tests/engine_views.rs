@@ -40,8 +40,7 @@ fn diamond() -> AsGraph {
 
 fn reachable_after(g: &AsGraph, dest: AsId, removed: &[stamp_topology::LinkId]) -> Vec<bool> {
     let g2 = g.without_links(removed);
-    let r = StaticRoutes::compute(&g2, dest);
-    (0..g.n() as u32).map(|v| r.reachable(AsId(v))).collect()
+    StaticRoutes::compute(&g2, dest).reachable_mask()
 }
 
 #[test]

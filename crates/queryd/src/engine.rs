@@ -297,10 +297,7 @@ impl QueryEngine {
         let g_after = self.g.without_links(&removed);
         let mut rows = Vec::with_capacity(dests.len() * protos.len());
         for &d in &dests {
-            let truth = StaticRoutes::compute(&g_after, d);
-            let reachable: Vec<bool> = (0..self.g.n())
-                .map(|v| truth.reachable(AsId::from_usize(v)))
-                .collect();
+            let reachable = StaticRoutes::compute(&g_after, d).reachable_mask();
             let unreachable = reachable.iter().filter(|r| !**r).count();
             let mut base_affected: Option<i64> = None;
             for &p in &protos {

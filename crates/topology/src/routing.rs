@@ -173,6 +173,12 @@ impl StaticRoutes {
         self.routes[v.index()].is_some()
     }
 
+    /// [`StaticRoutes::reachable`] for every AS, indexed by AS id: the
+    /// ground-truth mask the measurement probes classify against.
+    pub fn reachable_mask(&self) -> Vec<bool> {
+        self.routes.iter().map(Option::is_some).collect()
+    }
+
     /// Number of ASes (including the origin) with a route.
     pub fn n_reachable(&self) -> usize {
         self.routes.iter().filter(|r| r.is_some()).count()
@@ -337,6 +343,7 @@ mod tests {
         assert!(r.reachable(AsId(0)));
         assert!(!r.reachable(AsId(2)));
         assert!(!r.reachable(AsId(3)));
+        assert_eq!(r.reachable_mask(), vec![true, true, false, false]);
         assert_eq!(r.n_reachable(), 2);
     }
 

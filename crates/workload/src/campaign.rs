@@ -597,35 +597,6 @@ pub fn standard_families(g: &AsGraph, rng: &mut Rng, dests: &[AsId], smoke: bool
     vec![flap, stagger, outage, maint, churn]
 }
 
-/// The `campaign --smoke` CI grid, whole: `GenConfig::small(seed)`
-/// topology, two destinations and the five [`standard_families`] at smoke
-/// scale (all drawn from `rng_stream(seed, tags::TIMELINE)`), fast
-/// params, one seed, BGP/R-BGP/STAMP. One constructor serves both the
-/// binary's `--smoke` gate and the golden determinism test
-/// (`tests/determinism.rs`), so the pinned hash always corresponds to the
-/// grid CI actually runs.
-pub fn smoke_grid(seed: u64) -> (AsGraph, Vec<Timeline>, Vec<AsId>, CampaignConfig) {
-    let g = stamp_topology::gen::generate(&stamp_topology::gen::GenConfig::small(seed))
-        // simlint::allow(panic, "GenConfig::small is a constant known-valid config")
-        .expect("the smoke generator config is valid");
-    let mut rng = stamp_eventsim::rng_stream(seed, tags::TIMELINE);
-    let dests = choose_k(&mut rng, &crate::canned::destination_candidates(&g), 2);
-    // Diagnose a hostless topology here rather than via the modulo panic
-    // inside `standard_families`'s destination cycling.
-    assert!(
-        !dests.is_empty(),
-        "smoke topology (GenConfig::small({seed:#x})) has no multi-homed destination candidates"
-    );
-    let timelines = standard_families(&g, &mut rng, &dests, true);
-    let cfg = CampaignConfig {
-        params: RunParams::fast(),
-        protocols: vec![Protocol::Bgp, Protocol::Rbgp, Protocol::Stamp],
-        seeds: vec![seed],
-        threads: 0,
-    };
-    (g, timelines, dests, cfg)
-}
-
 /// The adversarial control-plane families: the same shape as
 /// [`standard_families`] but nothing physical ever fails — routers lie
 /// instead. Which AS goes rogue is the seeded variable (drawn from `rng`);
@@ -693,20 +664,6 @@ pub fn adversarial_families(
     vec![hijack, prepend, leak, flip]
 }
 
-/// The `campaign --adversarial --smoke` CI grid: the same topology,
-/// destinations and fast params as [`smoke_grid`] but running the four
-/// [`adversarial_families`] instead of the physical-failure families. One
-/// constructor serves the binary's gate and the determinism tests, so the
-/// pinned hash always corresponds to the grid CI actually runs.
-pub fn adversarial_grid(seed: u64) -> (AsGraph, Vec<Timeline>, Vec<AsId>, CampaignConfig) {
-    let (g, _, dests, cfg) = smoke_grid(seed);
-    // A salted stream: the adversarial draws must not depend on how many
-    // draws the standard families consumed from the unsalted one.
-    let mut rng = stamp_eventsim::rng_stream(seed ^ 0xAD5E_ACA1, tags::TIMELINE);
-    let timelines = adversarial_families(&g, &mut rng, &dests, true);
-    (g, timelines, dests, cfg)
-}
-
 /// Campaign configuration: the seed axis of the grid plus shared knobs.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -720,28 +677,6 @@ pub struct CampaignConfig {
     pub threads: usize,
 }
 
-impl CampaignConfig {
-    /// Paper-parameter campaign over all four protocols, one seed.
-    pub fn paper(seed: u64) -> CampaignConfig {
-        CampaignConfig {
-            params: RunParams::default(),
-            protocols: Protocol::ALL.to_vec(),
-            seeds: vec![seed],
-            threads: 0,
-        }
-    }
-
-    /// Fast test campaign (no MRAI, fixed delays).
-    pub fn fast(seed: u64) -> CampaignConfig {
-        CampaignConfig {
-            params: RunParams::fast(),
-            protocols: Protocol::ALL.to_vec(),
-            seeds: vec![seed],
-            threads: 0,
-        }
-    }
-}
-
 /// One grid coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignCell {
@@ -751,6 +686,15 @@ pub struct CampaignCell {
     pub dest: AsId,
     /// The seed-axis value.
     pub seed: u64,
+}
+
+impl CampaignCell {
+    /// The seed the cell's engines run under: a function of the cell's
+    /// coordinates and the seed-axis value only — never of worker identity.
+    pub fn engine_seed(&self) -> u64 {
+        let coord = ((self.timeline as u64) << 32) | self.dest.0 as u64;
+        derive_seed(derive_seed(self.seed, tags::CAMPAIGN), coord)
+    }
 }
 
 /// Results of one cell: metrics per protocol, in config order.
@@ -820,13 +764,6 @@ impl CampaignReport {
     }
 }
 
-/// Deterministic per-cell seed: a function of the cell's coordinates and
-/// the seed-axis value only — never of worker identity.
-fn cell_seed(cell: &CampaignCell) -> u64 {
-    let coord = ((cell.timeline as u64) << 32) | cell.dest.0 as u64;
-    derive_seed(derive_seed(cell.seed, tags::CAMPAIGN), coord)
-}
-
 /// Run a campaign: the full `timelines × dests × seeds` grid, sharded
 /// across `cfg.threads` workers (0 = all cores), merged in grid order.
 ///
@@ -861,7 +798,7 @@ pub fn populate_baselines(
                     dest,
                     seed,
                 };
-                let seed = cell_seed(&cell);
+                let seed = cell.engine_seed();
                 for &p in &cfg.protocols {
                     if cache.get(p, dest, seed, fp).is_some() {
                         continue;
@@ -962,12 +899,7 @@ pub fn run_campaign_with_cache(
             let g_after = g.without_links(removed);
             dests
                 .iter()
-                .map(|&d| {
-                    let truth = StaticRoutes::compute(&g_after, d);
-                    (0..g.n())
-                        .map(|v| truth.reachable(AsId::from_usize(v)))
-                        .collect()
-                })
+                .map(|&d| StaticRoutes::compute(&g_after, d).reachable_mask())
                 .collect()
         })
         .collect();
@@ -990,7 +922,7 @@ pub fn run_campaign_with_cache(
 
     let cells = run_sharded(cells.len(), cfg.threads, |i| {
         let (cell, di) = cells[i];
-        let seed = cell_seed(&cell);
+        let seed = cell.engine_seed();
         let metrics = cfg
             .protocols
             .iter()
@@ -1076,10 +1008,12 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_across_worker_counts() {
         let (g, timelines, dests) = grid(21);
-        let mut cfg = CampaignConfig::fast(5);
-        cfg.protocols = vec![Protocol::Bgp, Protocol::Stamp];
-        cfg.seeds = vec![1, 2];
-        cfg.threads = 1;
+        let mut cfg = CampaignConfig {
+            params: RunParams::fast(),
+            protocols: vec![Protocol::Bgp, Protocol::Stamp],
+            seeds: vec![1, 2],
+            threads: 1,
+        };
         let serial = run_campaign(&g, &timelines, &dests, &cfg).unwrap();
         cfg.threads = 4;
         let parallel = run_campaign(&g, &timelines, &dests, &cfg).unwrap();
@@ -1091,9 +1025,12 @@ mod tests {
     #[test]
     fn aggregates_cover_the_grid() {
         let (g, timelines, dests) = grid(23);
-        let mut cfg = CampaignConfig::fast(7);
-        cfg.protocols = vec![Protocol::Bgp];
-        cfg.seeds = vec![9];
+        let cfg = CampaignConfig {
+            params: RunParams::fast(),
+            protocols: vec![Protocol::Bgp],
+            seeds: vec![9],
+            threads: 0,
+        };
         let rep = run_campaign(&g, &timelines, &dests, &cfg).unwrap();
         for t in 0..timelines.len() {
             let agg = rep.aggregate(t, Protocol::Bgp);
@@ -1114,10 +1051,7 @@ mod tests {
         let w = sample_canned(&g, FailureScenario::SingleLink, &mut rng).unwrap();
         let removed = w.timeline.removed_links(&g).unwrap();
         let g_after = g.without_links(&removed);
-        let truth = StaticRoutes::compute(&g_after, w.dest);
-        let reachable: Vec<bool> = (0..g.n() as u32)
-            .map(|v| truth.reachable(AsId(v)))
-            .collect();
+        let reachable = StaticRoutes::compute(&g_after, w.dest).reachable_mask();
         let params = RunParams::fast();
         for p in Protocol::ALL {
             let m = run_protocol_cell(&g, &params, &w.timeline, w.dest, &reachable, p, 11);

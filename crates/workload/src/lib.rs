@@ -20,6 +20,9 @@
 //!   `std::thread::scope` workers each own their engines and path arenas,
 //!   results merge in grid order, and the report carries an FNV-1a
 //!   aggregate hash that is byte-identical at any worker count;
+//! * [`goldens`] — the grid catalogue (every pinned campaign grid's
+//!   constructor) and the [`goldens::GOLDENS`] table of aggregate hashes
+//!   the CI gates and the determinism tests assert;
 //! * [`sim`] — the unified session facade every consumer goes through:
 //!   the fluent [`sim::Sim`] builder, the per-protocol
 //!   [`sim::ProtocolSpec`] registry and the typed [`sim::Probe`]
@@ -34,17 +37,19 @@
 pub mod campaign;
 pub mod canned;
 pub mod dsl;
+pub mod goldens;
 pub mod sim;
 pub mod timeline;
 
 pub use campaign::{
-    adversarial_families, adversarial_grid, populate_baselines, run_campaign,
-    run_campaign_with_cache, run_protocol_cell, run_protocol_cell_warm, run_sharded, smoke_grid,
-    standard_families, Aggregate, BaselineCache, CacheStats, CampaignCell, CampaignConfig,
-    CampaignReport, CellResult, InstanceMetrics, ParseProtocolError, Protocol, RunParams, PREFIX,
+    adversarial_families, populate_baselines, run_campaign, run_campaign_with_cache,
+    run_protocol_cell, run_protocol_cell_warm, run_sharded, standard_families, Aggregate,
+    BaselineCache, CacheStats, CampaignCell, CampaignConfig, CampaignReport, CellResult,
+    InstanceMetrics, ParseProtocolError, Protocol, RunParams, PREFIX,
 };
 pub use canned::{destination_candidates, sample_canned, CannedWorkload, FailureScenario};
 pub use dsl::{parse_scn, ScnError, ScnErrorKind};
+pub use goldens::{adversarial_grid, smoke_grid};
 pub use sim::{
     MetricsProbe, NullProbe, Phase, Played, Probe, ProtocolEngine, ProtocolSpec, Sim, SimBuilder,
     SimCheckpoint, SimError, SimEvent, SnapshotCause,

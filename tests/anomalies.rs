@@ -12,58 +12,30 @@
 //!   drain. Rolling provider drains force path exploration through
 //!   customer valleys mid-window; R-BGP and STAMP shortcut it, BGP loops.
 //!
-//! These tests rebuild exactly the grid cells behind those two JSON rows
-//! (same topology, same timeline family, same per-cell seeds) and pin the
-//! aggregates bit-exactly. A scheduler, RIB or measurement change that
-//! silently shifts either number fails here, loudly, with the old and new
-//! values side by side — if the change is intentional, re-baseline both
-//! this file and `BENCH_campaign.json` in the same commit.
+//! These tests run exactly the grid cells behind those two JSON rows
+//! (the catalogue's `scale_grid` and `campaign_grid`, the same per-cell
+//! seeds) and pin the aggregates bit-exactly. A scheduler, RIB or
+//! measurement change that silently shifts either number fails here,
+//! loudly, with the old and new values side by side — if the change is
+//! intentional, re-baseline both this file and `BENCH_campaign.json` in
+//! the same commit.
 
-use stamp_repro::eventsim::rng::{derive_seed, tags};
-use stamp_repro::eventsim::rng_stream;
-use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
-use stamp_repro::workload::{
-    choose_k, destination_candidates, run_campaign, run_protocol_cell, standard_families,
-    CampaignConfig, Protocol, RunParams, Timeline,
-};
-
-/// The campaign binary's default master seed.
-const SEED: u64 = 0xCA4A16;
-
-/// Rebuild the default campaign grid at `n_ases`: topology, destinations
-/// and the five standard timeline families, exactly as
-/// `bench/src/bin/campaign.rs` constructs them.
-fn default_grid(
-    n_ases: usize,
-    n_dests: usize,
-) -> (stamp_repro::topology::AsGraph, Vec<Timeline>, Vec<AsId>) {
-    let gen = GenConfig {
-        n_ases,
-        ..GenConfig::small(SEED)
-    };
-    let g = generate(&gen).expect("valid generator config");
-    let mut rng = rng_stream(SEED, tags::TIMELINE);
-    let dests = choose_k(&mut rng, &destination_candidates(&g), n_dests);
-    let timelines = standard_families(&g, &mut rng, &dests, false);
-    (g, timelines, dests)
-}
+use stamp_repro::topology::StaticRoutes;
+use stamp_repro::workload::goldens::{campaign_grid, scale_grid, GOLDEN_SEED};
+use stamp_repro::workload::{run_campaign, run_protocol_cell, CampaignCell, Protocol};
 
 /// STAMP on the 2000-AS flap train: 373 mean looping ASes across the two
-/// grid cells (the `campaign_2000` scale row, seed axis `[SEED]`).
+/// grid cells (the `campaign_2000` scale row).
 ///
 /// The flap train is family index 0, so running the grid with only that
-/// timeline preserves every per-cell seed (`cell_seed` hashes the
-/// timeline *index*).
+/// timeline preserves every per-cell seed (`CampaignCell::engine_seed`
+/// hashes the timeline *index*).
 #[test]
 fn stamp_flap_train_loop_anomaly_at_2000_ases() {
-    let (g, timelines, dests) = default_grid(2000, 2);
+    let (g, timelines, dests, mut cfg) = scale_grid(GOLDEN_SEED);
     assert_eq!(timelines[0].name(), "flap-train");
-    let cfg = CampaignConfig {
-        params: RunParams::paper(),
-        protocols: vec![Protocol::Stamp],
-        seeds: vec![SEED],
-        threads: 1,
-    };
+    cfg.protocols = vec![Protocol::Stamp];
+    cfg.threads = 1;
     let rep = run_campaign(&g, &timelines[..1], &dests, &cfg).expect("timelines resolve");
     let a = rep.aggregate(0, Protocol::Stamp);
     assert_eq!(a.cells, 2);
@@ -86,33 +58,30 @@ fn stamp_flap_train_loop_anomaly_at_2000_ases() {
 /// would renumber the family and change every seed).
 #[test]
 fn bgp_maintenance_drain_loop_anomaly_at_500_ases() {
-    let (g, timelines, dests) = default_grid(500, 4);
+    let (g, timelines, dests, cfg) = campaign_grid(GOLDEN_SEED);
     let tl = &timelines[3];
     assert_eq!(tl.name(), "maintenance-drain");
     let removed = tl.removed_links(&g).expect("timeline resolves");
     let g_after = g.without_links(&removed);
-    let seeds: Vec<u64> = (0..2u64).map(|i| SEED ^ (i << 17)).collect();
 
     let mut loops_total = 0usize;
     let mut cells = 0usize;
     for &dest in &dests {
-        let truth = StaticRoutes::compute(&g_after, dest);
-        let reachable: Vec<bool> = (0..g.n())
-            .map(|v| truth.reachable(AsId::from_usize(v)))
-            .collect();
-        for &axis in &seeds {
-            // `cell_seed` in workload::campaign: coordinates only, never
-            // worker identity.
-            let coord = (3u64 << 32) | u64::from(dest.0);
-            let seed = derive_seed(derive_seed(axis, tags::CAMPAIGN), coord);
+        let reachable = StaticRoutes::compute(&g_after, dest).reachable_mask();
+        for &seed in &cfg.seeds {
+            let cell = CampaignCell {
+                timeline: 3,
+                dest,
+                seed,
+            };
             let m = run_protocol_cell(
                 &g,
-                &RunParams::paper(),
+                &cfg.params,
                 tl,
                 dest,
                 &reachable,
                 Protocol::Bgp,
-                seed,
+                cell.engine_seed(),
             );
             loops_total += m.affected_loops;
             cells += 1;

@@ -18,6 +18,8 @@
 //! f64s by bit pattern) and the smoke-campaign aggregate hash were
 //! produced by the pre-redesign `drive_timeline`/`run_protocol_cell` path
 //! and must keep coming out of the builder/probe path byte-identically.
+//! The two aggregate hashes are read from `workload::goldens::GOLDENS`,
+//! the one table every gate checks.
 
 use stamp_repro::bgp::types::PrefixId;
 use stamp_repro::eventsim::rng::tags;
@@ -25,6 +27,7 @@ use stamp_repro::eventsim::{rng_stream, DelayModel, SimDuration};
 use stamp_repro::experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
 use stamp_repro::sim::{NullProbe, Sim};
 use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
+use stamp_repro::workload::goldens::{self, GOLDEN_SEED};
 use stamp_repro::workload::{
     adversarial_grid, destination_candidates, flap_train, run_campaign, run_protocol_cell,
     sample_canned, smoke_grid, CampaignConfig, InstanceMetrics, PolicyRegime, RunOutcome,
@@ -225,10 +228,7 @@ fn canned_workload_metrics_match_pre_redesign_goldens() {
         let mut rng = rng_stream(0x601D + i as u64, tags::WORKLOAD);
         let w = sample_canned(&g, *scenario, &mut rng).unwrap();
         let removed = w.timeline.removed_links(&g).unwrap();
-        let truth = StaticRoutes::compute(&g.without_links(&removed), w.dest);
-        let reachable: Vec<bool> = (0..g.n() as u32)
-            .map(|v| truth.reachable(AsId(v)))
-            .collect();
+        let reachable = StaticRoutes::compute(&g.without_links(&removed), w.dest).reachable_mask();
         for (p, want) in Protocol::ALL.iter().zip(rows) {
             let m = run_protocol_cell(
                 &g,
@@ -372,43 +372,37 @@ fn failure_experiment_instances_match_goldens_at_any_worker_count() {
 }
 
 /// The `campaign --smoke` grid (the CI gate), built by the same
-/// `smoke_grid` constructor the binary uses, pinned to the aggregate hash
-/// the pre-redesign path produced. The hash folds in every metric of
-/// every cell, so this is a byte-identity check over the whole grid — and
-/// sharing the constructor means the pinned hash always corresponds to
-/// the workload CI actually runs.
+/// `smoke_grid` constructor the binary uses, checked against its entry in
+/// the golden table (the hash the pre-redesign path produced). The hash
+/// folds in every metric of every cell, so this is a byte-identity check
+/// over the whole grid — and sharing the constructor and the table means
+/// the pinned hash always corresponds to the workload CI actually runs.
 #[test]
 fn smoke_campaign_hash_matches_pre_redesign_golden() {
-    let (g, timelines, dests, cfg) = smoke_grid(0xCA4A16);
+    let (g, timelines, dests, cfg) = smoke_grid(GOLDEN_SEED);
     let rep = run_campaign(&g, &timelines, &dests, &cfg).unwrap();
     assert_eq!(rep.cells.len(), 10);
-    assert_eq!(
-        rep.hash, 0x288f67a39b590c8d,
-        "smoke-campaign aggregate drifted from the pre-redesign golden"
-    );
+    goldens::check("smoke", rep.hash).unwrap_or_else(|e| panic!("{e}"));
 }
 
 // ---------------------------------------------------------------------
 // Divergence as data: the watchdog's typed outcome in the campaign layer
 // ---------------------------------------------------------------------
 
-/// The `campaign --smoke --adversarial` grid (the second CI hash gate),
-/// built by the same `adversarial_grid` constructor the binary uses,
-/// pinned to its aggregate hash. Hijacks, leaks and the policy flip are
-/// timeline *data* — this pins their injection order, RNG draws and
-/// per-protocol metrics in one number, at any worker count.
+/// The adversarial grid, built by the same `adversarial_grid` constructor
+/// the binary uses, checked against its golden-table entry. Hijacks,
+/// leaks and the policy flip are timeline *data* — this pins their
+/// injection order, RNG draws and per-protocol metrics in one number, at
+/// any worker count.
 #[test]
 fn adversarial_campaign_hash_is_pinned_and_worker_independent() {
-    let (g, timelines, dests, mut cfg) = adversarial_grid(0xCA4A16);
+    let (g, timelines, dests, mut cfg) = adversarial_grid(GOLDEN_SEED);
     cfg.threads = 1;
     let serial = run_campaign(&g, &timelines, &dests, &cfg).unwrap();
     cfg.threads = 4;
     let parallel = run_campaign(&g, &timelines, &dests, &cfg).unwrap();
     assert_eq!(serial.hash, parallel.hash, "aggregate hash diverged");
-    assert_eq!(
-        serial.hash, 0xfd8467442b256d70,
-        "adversarial-campaign aggregate drifted from its pinned golden"
-    );
+    goldens::check("adversarial", serial.hash).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// A campaign grid whose cells *diverge*: the dispute-wheel gadget under

@@ -203,14 +203,10 @@ fn lemma_3_1_additions_strictly_gentler_than_withdrawals() {
     let g = topo(150, 109);
     let dest = AsId(140);
     let provider = g.providers(dest)[0];
-    let reachable_full: Vec<bool> = {
-        let r = StaticRoutes::compute(&g, dest);
-        (0..g.n() as u32).map(|v| r.reachable(AsId(v))).collect()
-    };
+    let reachable_full: Vec<bool> = { StaticRoutes::compute(&g, dest).reachable_mask() };
     let reachable_after: Vec<bool> = {
         let failed = g.link_between(dest, provider).expect("provider link");
-        let r = StaticRoutes::compute(&g.without_links(&[failed]), dest);
-        (0..g.n() as u32).map(|v| r.reachable(AsId(v))).collect()
+        StaticRoutes::compute(&g.without_links(&[failed]), dest).reachable_mask()
     };
 
     // Paper parameters, every FIB-changing batch observed.

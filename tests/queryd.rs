@@ -23,10 +23,7 @@ fn engine(seed: u64) -> QueryEngine {
 
 fn reachability(g: &AsGraph, t: &Timeline, dest: AsId) -> Vec<bool> {
     let removed = t.removed_links(g).expect("timeline resolves");
-    let truth = StaticRoutes::compute(&g.without_links(&removed), dest);
-    (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect()
+    StaticRoutes::compute(&g.without_links(&removed), dest).reachable_mask()
 }
 
 /// `InstanceMetrics` equality by *bit pattern*: the integer fields

@@ -18,10 +18,7 @@ use stamp_repro::workload::{
 
 fn reachability(g: &AsGraph, t: &Timeline, dest: AsId) -> Vec<bool> {
     let removed = t.removed_links(g).expect("timeline resolves");
-    let truth = StaticRoutes::compute(&g.without_links(&removed), dest);
-    (0..g.n())
-        .map(|v| truth.reachable(AsId::from_usize(v)))
-        .collect()
+    StaticRoutes::compute(&g.without_links(&removed), dest).reachable_mask()
 }
 
 /// Every protocol × canned paper scenario (Fig 2, Fig 3a, Fig 3b): run the
