@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the building blocks: topology generation, the
 //! static route solver, uphill path counting, route propagation through
 //! the RIB/decision hot path, full-engine convergence, the data-plane
-//! observation tick and warm-start checkpoints.
+//! observation tick, the probe's share of a warm replay and warm-start
+//! checkpoints.
 //!
 //! Emits a machine-readable `BENCH_micro.json` (median/p95 per benchmark)
 //! at the repo root alongside the human-readable report lines; override
@@ -254,9 +255,10 @@ fn bench_mrai_arm(h: &Harness, report: &mut JsonReport) {
     });
 }
 
-/// One data-plane observation tick on a converged 300-AS BGP network —
-/// the inner loop of every failure measurement: the view on the stack,
-/// `TransientTracker::observe` monomorphised over the concrete view.
+/// One data-plane observation tick on a converged 300-AS BGP network with
+/// nothing changed since the last tick — the floor of every observation:
+/// the view on the stack, `TransientTracker::observe` monomorphised over
+/// the concrete view, and an incremental update with no AS to recompile.
 fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
     use stamp_bgp::types::PrefixId;
     use stamp_forwarding::{BgpView, TransientTracker};
@@ -285,6 +287,57 @@ fn bench_observe_loop(h: &Harness, report: &mut JsonReport) {
         tracker.observe(&view);
         black_box(tracker.observations);
     });
+}
+
+/// The measurement probe's share of a warm cell, per protocol under the
+/// paper's parameters: one single-link-failure timeline replayed on a
+/// restored 500-AS baseline, under `MetricsProbe` (`replay_probe_500_*`,
+/// what `Sim::measure` runs) and under `NullProbe` (`replay_null_500_*`,
+/// the engine alone), in the same run. The difference is the probe.
+fn bench_replay_probe(h: &Harness, report: &mut JsonReport) {
+    use stamp_eventsim::rng::tags;
+    use stamp_eventsim::rng_stream;
+    use stamp_workload::{
+        sample_canned, FailureScenario, MetricsProbe, NullProbe, Protocol, RunParams, Sim, PREFIX,
+    };
+
+    let g = generate(&GenConfig {
+        n_ases: 500,
+        ..GenConfig::small(21)
+    })
+    .unwrap();
+    let mut rng = rng_stream(901, tags::WORKLOAD);
+    let w = sample_canned(&g, FailureScenario::SingleLink, &mut rng).expect("scenario fits");
+    let removed = w.timeline.removed_links(&g).expect("timeline resolves");
+    let reachable = StaticRoutes::compute(&g.without_links(&removed), w.dest).reachable_mask();
+    let causes = w.timeline.root_causes();
+    for (p, tag) in [
+        (Protocol::Bgp, "bgp"),
+        (Protocol::Rbgp, "rbgp"),
+        (Protocol::Stamp, "stamp"),
+    ] {
+        let mut sim = Sim::on(&g)
+            .protocol(p)
+            .originate(w.dest, PREFIX)
+            .seed(5)
+            .params(RunParams::paper())
+            .build()
+            .unwrap();
+        sim.converge();
+        let ck = sim.checkpoint();
+        report.bench(h, &format!("replay_null_500_{tag}"), || {
+            sim.restore(&ck).unwrap();
+            sim.reset_measurement();
+            black_box(sim.play(&w.timeline, &mut NullProbe).unwrap());
+        });
+        report.bench(h, &format!("replay_probe_500_{tag}"), || {
+            sim.restore(&ck).unwrap();
+            sim.reset_measurement();
+            let mut probe = MetricsProbe::new(w.dest, reachable.clone(), causes.clone());
+            sim.play(&w.timeline, &mut probe).unwrap();
+            black_box(probe.tracker().affected_count());
+        });
+    }
 }
 
 /// The warm-start building blocks at campaign scale (2000 ASes):
@@ -393,6 +446,7 @@ fn main() {
     bench_session_lookup(&h, &mut report);
     bench_mrai_arm(&h, &mut report);
     bench_observe_loop(&h, &mut report);
+    bench_replay_probe(&h, &mut report);
     bench_checkpoint(&h, &mut report);
 
     // Default to the repo root (cargo runs benches from the crate dir).

@@ -26,8 +26,8 @@ use stamp_workload::goldens::{
     self, standard_grid, sweep_slice, GoldenGrid, Grid, GOLDENS, GOLDEN_SEED,
 };
 use stamp_workload::{
-    populate_baselines, run_campaign, run_campaign_with_cache, BaselineCache, CacheStats,
-    CampaignReport, PolicyRegime, Protocol, Timeline,
+    populate_baselines, run_campaign, run_campaign_with_cache, worker_count, BaselineCache,
+    CacheStats, CampaignReport, PolicyRegime, Protocol, Timeline,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -43,22 +43,24 @@ struct GridRun {
     wall_warm_1: f64,
     /// Wall clock of the baseline-population pass itself.
     wall_populate: f64,
+    /// Workers of the parallel cold pass.
     threads_n: usize,
 }
 
-/// Run the grid cold at one worker, cold at `threads_n`, then warm (every
-/// cell forked from a pre-converged checkpoint) — asserting the
-/// byte-identical aggregate across all three. The warm-equals-cold check
+/// Run the grid cold at one worker, cold at `threads` (0 = one per core),
+/// then warm (every cell forked from a pre-converged checkpoint) —
+/// asserting the byte-identical aggregate across all three. The warm-equals-cold check
 /// is the campaign-scale proof that `restore` rewinds everything a replay
 /// depends on.
-fn run_grid((g, timelines, dests, cfg): &Grid, threads_n: usize) -> GridRun {
+fn run_grid((g, timelines, dests, cfg): &Grid, threads: usize) -> GridRun {
+    let threads_n = worker_count(threads);
     let mut cfg = cfg.clone();
     cfg.threads = 1;
     let t0 = Instant::now();
     let serial = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
     let wall_1 = t0.elapsed().as_secs_f64();
 
-    cfg.threads = threads_n;
+    cfg.threads = threads;
     let t0 = Instant::now();
     let parallel = run_campaign(g, timelines, dests, &cfg).expect("timelines resolve");
     let wall_n = t0.elapsed().as_secs_f64();
@@ -330,9 +332,7 @@ fn policy_sweep_json(s: &mut String, rows: &[PolicySweepRow]) {
 /// speedup ≈ 1 row on a one-core container is legible as a machine
 /// property, not a scaling regression.
 fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    worker_count(0)
 }
 
 fn json_object(s: &mut String, key: &str, run: &GridRun) {
@@ -538,14 +538,6 @@ fn main() {
         || !(regimes.len() == 1 && regimes[0].is_default());
     // Goldens are pinned for the catalogue grids at the default seed only.
     let pinned = !overridden && seed == GOLDEN_SEED;
-    let threads_n = if args.threads > 0 {
-        args.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .max(4)
-    };
 
     // Which grids run: `--smoke` the smoke grid; otherwise, with no
     // override, every grid of the golden table, and with overrides the
@@ -580,7 +572,7 @@ fn main() {
     let mut sweep = Vec::new();
     for kind in &kinds {
         let grid = build(kind);
-        let run = run_grid(&grid, threads_n);
+        let run = run_grid(&grid, args.threads);
         let name = kind.name();
         if pinned {
             if let Err(e) = goldens::check(&name, run.report.hash) {

@@ -371,15 +371,52 @@ pub struct Engine<R: RouterLogic> {
     /// Reusable outgoing-update buffer lent to every router event — the
     /// dispatch path allocates nothing in steady state.
     out_scratch: Vec<OutMsg>,
-    /// Per-AS forwarding-view version counter: bumped every time a router
-    /// processes an event (so its FIB may have changed). Never restored or
-    /// rewound — see [`Engine::view_version`].
+    /// Per-AS forwarding-view version: bumped every time a router
+    /// processes an event or is lent out mutably (its selections may have
+    /// changed), and whenever the liveness of one of its sessions changes.
+    /// Never restored or rewound — see [`Engine::view_versions`].
     view_touch: Vec<u64>,
-    /// Global forwarding-view epoch: bumped on every liveness change
-    /// (link/node fail/recover) and on every [`Engine::restore`]. Liveness
-    /// is global because forwarding can depend on *non-adjacent* links
-    /// (R-BGP escape circuits check every hop of a pinned path).
-    view_global: u64,
+    /// Every `view_touch` bump since the log last restarted, in order (one
+    /// entry per bump): lets a cache find the ASes that moved without
+    /// scanning all of them.
+    view_log: Vec<AsId>,
+    /// Bumped whenever `view_log` restarts (it is cleared on restore and
+    /// when it outgrows [`VIEW_LOG_CAP_PER_AS`] entries per AS).
+    view_log_gen: u64,
+    /// Restore epoch: bumped on every [`Engine::restore`].
+    view_epoch: u64,
+    /// Liveness-change count: bumped on every effective link/node
+    /// fail/recover. Only forwarding that reads *non-adjacent* sessions
+    /// (R-BGP escape circuits check every hop of a pinned path) keys on it.
+    view_remote: u64,
+}
+
+/// The view-version log restarts once it holds this many entries per AS,
+/// bounding its memory; readers then fall back to one full version scan.
+const VIEW_LOG_CAP_PER_AS: usize = 8;
+
+/// The forwarding-view cache keys of one engine (see
+/// [`Engine::view_versions`] and DESIGN.md §12). Every counter is monotone
+/// and never rewound, so equal values at two instants mean nothing they
+/// cover changed in between.
+#[derive(Debug, Clone, Copy)]
+pub struct ViewVersions<'a> {
+    /// Per-AS local version, index = AS id: covers the AS's router state
+    /// and the liveness of its own sessions.
+    pub local: &'a [u64],
+    /// The ASes whose `local` version moved since generation `log_gen` of
+    /// the log began, one entry per bump (so ASes repeat). A reader that
+    /// saw `log[..k]` under the same generation finds every AS that moved
+    /// since in `log[k..]`.
+    pub log: &'a [AsId],
+    /// Generation of `log`: a reader holding another generation must scan
+    /// `local` in full.
+    pub log_gen: u64,
+    /// Restore epoch: a move invalidates every AS.
+    pub epoch: u64,
+    /// Liveness-change count: a move invalidates forwarding that read
+    /// sessions other than the AS's own.
+    pub remote: u64,
 }
 
 impl<R: RouterLogic> Engine<R> {
@@ -423,7 +460,10 @@ impl<R: RouterLogic> Engine<R> {
             started: false,
             out_scratch: Vec::new(),
             view_touch: vec![0; n],
-            view_global: 0,
+            view_log: Vec::new(),
+            view_log_gen: 0,
+            view_epoch: 0,
+            view_remote: 0,
         }
     }
 
@@ -453,6 +493,7 @@ impl<R: RouterLogic> Engine<R> {
     /// STAMP's instability flags between the initial convergence and the
     /// injected failure). The engine itself never needs this.
     pub fn router_mut(&mut self, v: AsId) -> &mut R {
+        self.touch(v);
         &mut self.routers[v.index()]
     }
 
@@ -481,21 +522,29 @@ impl<R: RouterLogic> Engine<R> {
         &self.stats
     }
 
-    /// Version of `v`'s forwarding behaviour, for memoising derived
-    /// structures (classification tables): while the version is unchanged,
-    /// `v`'s selections, its liveness environment and therefore every
-    /// forwarding decision it makes are unchanged.
+    /// Cache keys for structures derived from the forwarding state
+    /// (compiled classification tables, the control-metric pass).
     ///
-    /// The value is `touch[v] + global` where `touch[v]` counts router
-    /// events at `v` and `global` counts liveness changes plus restores.
-    /// Both counters are monotone non-decreasing and never rewound (a
-    /// [`Engine::restore`] bumps `global` instead of rolling `touch` back),
-    /// so equal versions at two instants imply both addends — and hence the
-    /// cached state — were unchanged in between. Versions are cache keys
-    /// only; they never feed a golden hash.
+    /// `local[v]` counts router events at `v` (and mutable lends of its
+    /// router) plus liveness changes of `v`'s own sessions: while it and
+    /// `epoch` are unchanged, `v`'s selections and the liveness of every
+    /// session adjacent to `v` are unchanged. A link fail/recover bumps
+    /// both endpoints; a node fail/recover bumps the node and all its
+    /// neighbours. `epoch` counts restores; `remote` counts liveness
+    /// changes anywhere. All counters are monotone and never rewound (a
+    /// [`Engine::restore`] bumps `epoch` instead of rolling `local` back),
+    /// so equal values at two instants imply the state they cover was
+    /// unchanged in between. Versions are cache keys only; they never feed
+    /// a golden hash.
     #[inline]
-    pub fn view_version(&self, v: AsId) -> u64 {
-        self.view_touch[v.index()] + self.view_global
+    pub fn view_versions(&self) -> ViewVersions<'_> {
+        ViewVersions {
+            local: &self.view_touch,
+            log: &self.view_log,
+            log_gen: self.view_log_gen,
+            epoch: self.view_epoch,
+            remote: self.view_remote,
+        }
     }
 
     /// Current simulation time.
@@ -695,9 +744,9 @@ impl<R: RouterLogic> Engine<R> {
     /// cold run reaching the same state and can never observe ids a
     /// sibling fork interned after the snapshot.
     ///
-    /// The forwarding-view epoch ([`Engine::view_version`]) is bumped, not
-    /// restored: versions stay monotone so any cached classification built
-    /// against pre-restore state is invalidated.
+    /// The forwarding-view restore epoch ([`Engine::view_versions`]) is
+    /// bumped, not restored: versions stay monotone so any cached
+    /// classification built against pre-restore state is invalidated.
     // simlint::hot
     pub fn restore(&mut self, ck: &Checkpoint<R>)
     where
@@ -720,7 +769,9 @@ impl<R: RouterLogic> Engine<R> {
         self.loss_rng.clone_from(&ck.loss_rng);
         self.stats = ck.stats;
         self.started = ck.started;
-        self.view_global += 1;
+        self.view_epoch += 1;
+        self.view_log.clear();
+        self.view_log_gen += 1;
     }
 
     // ------------------------------------------------------------------
@@ -928,7 +979,7 @@ impl<R: RouterLogic> Engine<R> {
         if !self.state.link_up[id.index()] {
             return false;
         }
-        self.view_global += 1;
+        self.touch_link(id);
         self.state.link_up[id.index()] = false;
         self.link_epoch[id.index()] += 1;
         let l = self.g.link(id);
@@ -960,7 +1011,7 @@ impl<R: RouterLogic> Engine<R> {
         if self.state.link_up[id.index()] {
             return false;
         }
-        self.view_global += 1;
+        self.touch_link(id);
         self.state.link_up[id.index()] = true;
         let l = self.g.link(id);
         if !self.state.node_ok(l.a) || !self.state.node_ok(l.b) {
@@ -995,7 +1046,7 @@ impl<R: RouterLogic> Engine<R> {
         if !self.state.node_up[v.index()] {
             return false;
         }
-        self.view_global += 1;
+        self.touch_node(v);
         self.state.node_up[v.index()] = false;
         let cause = crate::types::CauseInfo {
             cause: crate::types::RootCause::Node(v),
@@ -1031,7 +1082,7 @@ impl<R: RouterLogic> Engine<R> {
         if self.state.node_up[v.index()] {
             return false;
         }
-        self.view_global += 1;
+        self.touch_node(v);
         self.state.node_up[v.index()] = true;
         let cause = crate::types::CauseInfo {
             cause: crate::types::RootCause::Node(v),
@@ -1048,6 +1099,39 @@ impl<R: RouterLogic> Engine<R> {
             }
         }
         changed
+    }
+
+    /// A link's liveness is about to change: bump the view version of both
+    /// endpoints (the only ASes with the link among their own sessions)
+    /// and the liveness-change count.
+    fn touch_link(&mut self, id: LinkId) {
+        let l = self.g.link(id);
+        self.touch(l.a);
+        self.touch(l.b);
+        self.view_remote += 1;
+    }
+
+    /// A node's liveness is about to change: every session of `v` may
+    /// change liveness, so bump `v`, each neighbour and the
+    /// liveness-change count.
+    fn touch_node(&mut self, v: AsId) {
+        self.touch(v);
+        for i in 0..self.g.degree(v) {
+            let n = self.g.neighbor_entries(v)[i].neighbor;
+            self.touch(n);
+        }
+        self.view_remote += 1;
+    }
+
+    /// Bump `v`'s forwarding-view version and log the bump.
+    #[inline]
+    fn touch(&mut self, v: AsId) {
+        self.view_touch[v.index()] += 1;
+        if self.view_log.len() >= VIEW_LOG_CAP_PER_AS * self.view_touch.len() {
+            self.view_log.clear();
+            self.view_log_gen += 1;
+        }
+        self.view_log.push(v);
     }
 
     /// Forget MRAI pendings for both directed sessions of a link (the
@@ -1075,7 +1159,7 @@ impl<R: RouterLogic> Engine<R> {
     {
         // Any router event may change the router's selections, so its
         // forwarding-view version advances (cache key only, never hashed).
-        self.view_touch[v.index()] += 1;
+        self.touch(v);
         // Destructure to borrow `routers` and the arena mutably while
         // `g`/`state` stay shared — the ctx reads topology and liveness and
         // interns paths.
@@ -1242,7 +1326,10 @@ impl<R: RouterLogic + Clone> Clone for Engine<R> {
             started: self.started,
             out_scratch: Vec::new(),
             view_touch: self.view_touch.clone(),
-            view_global: self.view_global,
+            view_log: self.view_log.clone(),
+            view_log_gen: self.view_log_gen,
+            view_epoch: self.view_epoch,
+            view_remote: self.view_remote,
         }
     }
 }
@@ -1302,6 +1389,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A liveness change moves the view version of the ASes whose own
+    /// sessions it touches (and logs them), nobody else's; the
+    /// liveness-change count moves with it, and a restore moves the epoch
+    /// and restarts the log.
+    #[test]
+    fn liveness_changes_invalidate_views_per_as() {
+        let g = diamond();
+        let mut e = engine(g.clone(), AsId(4), 3);
+        e.start();
+        e.run_to_quiescence(None);
+        let ck = e.snapshot();
+        let moved = |e: &Engine<BgpRouter>, before: &[u64]| -> Vec<u32> {
+            let v = e.view_versions();
+            (0..5u32)
+                .filter(|&a| v.local[a as usize] != before[a as usize])
+                .collect()
+        };
+
+        let before = e.view_versions().local.to_vec();
+        let (seen, remote) = (e.view_versions().log.len(), e.view_versions().remote);
+        assert!(e.fail_link(g.link_between(AsId(4), AsId(2)).unwrap()));
+        assert_eq!(moved(&e, &before), vec![2, 4]);
+        let mut logged: Vec<u32> = e.view_versions().log[seen..].iter().map(|a| a.0).collect();
+        logged.sort_unstable();
+        logged.dedup();
+        assert_eq!(logged, vec![2, 4]);
+        assert_eq!(e.view_versions().remote, remote + 1);
+
+        let before = e.view_versions().local.to_vec();
+        assert!(e.fail_node(AsId(0)));
+        assert_eq!(moved(&e, &before), vec![0, 1, 2]);
+        assert_eq!(e.view_versions().remote, remote + 2);
+
+        let (epoch, log_gen) = (e.view_versions().epoch, e.view_versions().log_gen);
+        let before = e.view_versions().local.to_vec();
+        e.restore(&ck);
+        let v = e.view_versions();
+        assert_eq!((v.epoch, v.log.len()), (epoch + 1, 0));
+        assert_ne!(v.log_gen, log_gen);
+        assert_eq!(v.local, &before[..], "local versions are never rewound");
     }
 
     #[test]

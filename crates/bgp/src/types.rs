@@ -150,19 +150,22 @@ impl RootCause {
     }
 
     /// Does `head · path` (a stored path with its holder prepended)
-    /// traverse this cause? Avoids materialising the joined sequence.
-    pub fn invalidates_with_head(&self, head: AsId, path: &[AsId]) -> bool {
-        match *self {
-            RootCause::Node(x) => head == x || path.contains(&x),
-            RootCause::Link(a, b) => {
-                if let Some(&first) = path.first() {
-                    if (head == a && first == b) || (head == b && first == a) {
-                        return true;
-                    }
-                }
-                self.invalidates(path)
-            }
+    /// traverse this cause? Takes the path as an iterator, so a slice or a
+    /// zero-allocation arena chain walk ([`PathArena::iter`]) both work
+    /// without materialising the joined sequence.
+    pub fn invalidates_with_head(&self, head: AsId, path: impl IntoIterator<Item = AsId>) -> bool {
+        let mut prev = head;
+        if *self == RootCause::Node(head) {
+            return true;
         }
+        path.into_iter().any(|hop| {
+            let hit = match *self {
+                RootCause::Node(x) => hop == x,
+                RootCause::Link(a, b) => (prev == a && hop == b) || (prev == b && hop == a),
+            };
+            prev = hop;
+            hit
+        })
     }
 }
 
@@ -407,7 +410,7 @@ mod tests {
                 RootCause::Node(AsId(9)),
             ] {
                 assert_eq!(
-                    rc.invalidates_with_head(head, &rest),
+                    rc.invalidates_with_head(head, rest.iter().copied()),
                     rc.invalidates(&joined),
                     "{rc:?} on {joined:?}"
                 );

@@ -10,8 +10,9 @@
 //!   implemented for plain BGP, R-BGP (normal/escape contexts) and STAMP
 //!   (colour × switched-bit contexts, §5.1's at-most-one colour switch);
 //! * [`trace`] — classification of every AS's data path as
-//!   delivered / loop / blackhole in O(states) via memoised walks of the
-//!   functional graph;
+//!   delivered / loop / blackhole via memoised walks of the functional
+//!   graph: O(states) cold, then O(changed ASes + states upstream of them)
+//!   per observation of a converging engine;
 //! * [`tracker`] — accumulation across a convergence window: an AS counts
 //!   as *affected* if its packets would loop or blackhole at any
 //!   observation instant while the post-event topology still admits a
@@ -24,6 +25,6 @@ pub mod trace;
 pub mod tracker;
 pub mod view;
 
-pub use trace::{classify_all, classify_all_into, ClassifyScratch, Outcome};
+pub use trace::{classify_all, ClassifyScratch, Outcome};
 pub use tracker::TransientTracker;
-pub use view::{BgpView, ForwardingView, RbgpView, StampView, StaticView, Step};
+pub use view::{BgpView, ForwardingView, RbgpView, StampView, StaticView, Step, ViewVersions};

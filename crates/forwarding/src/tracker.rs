@@ -1,18 +1,19 @@
 //! Transient-problem accumulation across a convergence window.
 
-use crate::trace::{classify_all_into, ClassifyScratch, Outcome};
+use crate::trace::{ClassifyScratch, Outcome};
 use crate::view::{ForwardingView, SelectionKey};
 use stamp_bgp::types::RootCause;
 use stamp_topology::AsId;
-
-/// Version sentinel: the AS has not been checked yet (or the view cannot
-/// version it), so the control pass must evaluate it.
-const CONTROL_DIRTY: u64 = u64::MAX;
 
 /// Accumulates "ASes with transient problems" over the observation points
 /// of one convergence episode, per the paper's metric (Figures 2/3):
 /// an AS is affected if at any instant its traffic loops or blackholes
 /// *while the post-event topology still offers it a valley-free path*.
+///
+/// Observations are incremental: the classification scratch reports which
+/// ASes' outcomes it re-derived, and only those update the flags and the
+/// live loop/blackhole counts; the control pass visits only the ASes the
+/// scratch recompiled.
 #[derive(Debug, Clone)]
 pub struct TransientTracker {
     /// The destination AS (its own fate is not counted).
@@ -34,10 +35,6 @@ pub struct TransientTracker {
     baseline: Vec<Vec<Vec<AsId>>>,
     /// Pre-event selection keys per AS (`None` = compare paths instead).
     baseline_keys: Vec<Option<SelectionKey>>,
-    /// [`ForwardingView::version`] at which each AS was last checked
-    /// (`CONTROL_DIRTY` = never). An unchanged version means an unchanged
-    /// selection, so the previous observation's verdict still holds.
-    control_versions: Vec<u64>,
     control_affected: Vec<bool>,
     /// Total observations in which at least one AS looped.
     pub observations_with_loops: u64,
@@ -48,10 +45,19 @@ pub struct TransientTracker {
     /// Whether the most recent observation saw any loop or blackhole
     /// (harnesses use it to timestamp data-plane recovery).
     pub last_observation_had_problems: bool,
-    /// Reused classification buffers: observations after the first
-    /// allocate nothing.
+    /// Classification kept across observations: observations after the
+    /// first allocate nothing.
     scratch: ClassifyScratch,
+    /// Each counted AS's outcome at the last classification (`Delivered`
+    /// before the first).
     outcomes: Vec<Outcome>,
+    /// Counted ASes (reachable, not the destination) whose outcome at the
+    /// last observation was a loop / a blackhole.
+    looping: usize,
+    blackholing: usize,
+    /// Counted ASes found looping or blackholing by [`Self::arm`]: the
+    /// next observation flags those still in that state.
+    primed_bad: Vec<AsId>,
 }
 
 impl TransientTracker {
@@ -68,25 +74,27 @@ impl TransientTracker {
             causes: Vec::new(),
             baseline: vec![Vec::new(); n],
             baseline_keys: vec![None; n],
-            control_versions: vec![CONTROL_DIRTY; n],
             control_affected: vec![false; n],
             observations_with_loops: 0,
             observations_with_blackholes: 0,
             observations: 0,
             last_observation_had_problems: false,
             scratch: ClassifyScratch::default(),
-            outcomes: Vec::new(),
+            outcomes: vec![Outcome::Delivered; n],
+            looping: 0,
+            blackholing: 0,
+            primed_bad: Vec::new(),
         }
     }
 
-    /// Enable the control-plane companion metric: `causes` identifies the
-    /// event, `baseline_view` is sampled *before* injection so only
-    /// post-event adoptions count.
-    pub fn with_control_metric<V: ForwardingView + ?Sized>(
-        mut self,
-        causes: Vec<RootCause>,
-        baseline_view: &V,
-    ) -> TransientTracker {
+    /// Arm the tracker at the pre-event baseline (`baseline_view`, the
+    /// same engine that later observations view). Enables the control-plane
+    /// companion metric — `causes` identifies the event, and selections
+    /// are sampled *before* injection so only post-event adoptions count —
+    /// and classifies the pre-event state, so the first observation is
+    /// incremental too. Records nothing: flags and observation counts move
+    /// only in [`Self::observe`].
+    pub fn arm<V: ForwardingView + ?Sized>(&mut self, causes: Vec<RootCause>, baseline_view: &V) {
         for i in 0..self.baseline.len() {
             let v = AsId::from_usize(i);
             self.baseline_keys[i] = baseline_view.selection_key(v);
@@ -95,7 +103,10 @@ impl TransientTracker {
             }
         }
         self.causes = causes;
-        self
+        // The ASes this update recompiles need no control check: their
+        // selections are the baseline just sampled.
+        self.scratch.update(baseline_view);
+        self.absorb(false);
     }
 
     /// Record one observation point (typically: after every batch of
@@ -103,83 +114,98 @@ impl TransientTracker {
     // simlint::hot
     pub fn observe<V: ForwardingView + ?Sized>(&mut self, view: &V) {
         self.observations += 1;
-        classify_all_into(view, &mut self.scratch, &mut self.outcomes);
-        let mut any_loop = false;
-        let mut any_hole = false;
-        for i in 0..self.outcomes.len() {
-            let o = self.outcomes[i];
-            if AsId::from_usize(i) == self.dest || !self.reachable[i] {
-                continue;
-            }
-            match o {
-                Outcome::Delivered => {}
-                Outcome::Loop => {
-                    any_loop = true;
-                    self.affected[i] = true;
-                    self.affected_by_loop[i] = true;
-                }
-                Outcome::Blackhole => {
-                    any_hole = true;
-                    self.affected[i] = true;
-                    self.affected_by_blackhole[i] = true;
-                }
-            }
+        self.scratch.update(view);
+        self.absorb(true);
+        // Problems `arm` saw that nothing has changed since are still
+        // problems at this instant.
+        for k in 0..self.primed_bad.len() {
+            let i = self.primed_bad[k].index();
+            self.flag(i, self.outcomes[i]);
         }
-        if any_loop {
+        self.primed_bad.clear();
+        if self.looping > 0 {
             self.observations_with_loops += 1;
         }
-        if any_hole {
+        if self.blackholing > 0 {
             self.observations_with_blackholes += 1;
         }
-        self.last_observation_had_problems = any_loop || any_hole;
+        self.last_observation_had_problems = self.looping > 0 || self.blackholing > 0;
         if !self.causes.is_empty() {
             self.observe_control(view);
         }
     }
 
+    /// Fold the outcomes the last scratch update re-derived into the
+    /// per-AS outcomes and live counts; flag counted ASes now looping or
+    /// blackholing if this is an observation, or remember them for the
+    /// next one.
+    fn absorb(&mut self, observed: bool) {
+        for k in 0..self.scratch.rechecked().len() {
+            let a = self.scratch.rechecked()[k];
+            let i = a.index();
+            if a == self.dest || !self.reachable[i] {
+                continue;
+            }
+            let now = self.scratch.outcome(a);
+            let was = std::mem::replace(&mut self.outcomes[i], now);
+            if was != now {
+                match was {
+                    Outcome::Delivered => {}
+                    Outcome::Loop => self.looping -= 1,
+                    Outcome::Blackhole => self.blackholing -= 1,
+                }
+                match now {
+                    Outcome::Delivered => {}
+                    Outcome::Loop => self.looping += 1,
+                    Outcome::Blackhole => self.blackholing += 1,
+                }
+            }
+            if observed {
+                self.flag(i, now);
+            } else if now != Outcome::Delivered {
+                self.primed_bad.push(a);
+            }
+        }
+    }
+
+    /// Mark AS `i` affected by a loop or a blackhole (nothing for
+    /// `Delivered`).
+    fn flag(&mut self, i: usize, o: Outcome) {
+        match o {
+            Outcome::Delivered => {}
+            Outcome::Loop => {
+                self.affected[i] = true;
+                self.affected_by_loop[i] = true;
+            }
+            Outcome::Blackhole => {
+                self.affected[i] = true;
+                self.affected_by_blackhole[i] = true;
+            }
+        }
+    }
+
     /// Control-plane pass: an AS is "affected in some ways" when its
     /// selection set changed from the pre-event baseline and every selected
-    /// path is invalidated by the event (or the set is empty).
+    /// path is invalidated by the event (or the set is empty). Only ASes
+    /// the scratch recompiled can have changed selections: an unmoved
+    /// version means the selection is identical to the last observation,
+    /// whose verdict (not affected) still stands — causes and reachability
+    /// are fixed for the tracker's lifetime.
+    // simlint::hot
     fn observe_control<V: ForwardingView + ?Sized>(&mut self, view: &V) {
-        for i in 0..self.baseline.len() {
-            let v = AsId::from_usize(i);
+        for &v in self.scratch.recompiled() {
+            let i = v.index();
             if v == self.dest || !self.reachable[i] || self.control_affected[i] {
                 continue;
             }
-            // An unmoved version means the selection is identical to the
-            // last observation, whose verdict (not affected) still stands —
-            // causes and reachability are fixed for the tracker's lifetime.
-            let ver = view.version(v);
-            if let Some(ver) = ver {
-                if self.control_versions[i] == ver {
-                    continue;
-                }
-                self.control_versions[i] = ver;
-            }
             // Fast path: when both sides have compact keys, key equality is
             // path equality and no path is ever materialised. On key
-            // mismatch the selection set *definitely* changed, so the
-            // invalidation check below only needs the current paths.
-            match (view.selection_key(v), self.baseline_keys[i]) {
-                (Some(k), Some(bk)) => {
-                    if k == bk {
-                        continue;
-                    }
-                }
-                _ => {
-                    if view.selection_paths(v) == self.baseline[i] {
-                        continue;
-                    }
-                }
-            }
-            let paths = view.selection_paths(v);
-            let all_bad = paths.is_empty()
-                || paths.iter().all(|p| {
-                    // The stored path excludes the holder itself; the first
-                    // hop's link is (v, path[0]).
-                    self.causes.iter().any(|c| c.invalidates_with_head(v, p))
-                });
-            if all_bad {
+            // mismatch the selection set *definitely* changed.
+            let unchanged = match (view.selection_key(v), self.baseline_keys[i]) {
+                (Some(k), Some(bk)) => k == bk,
+                _ => view.selection_paths(v) == self.baseline[i],
+            };
+            if !unchanged && view.selection_invalidated(v, &self.causes) {
                 self.control_affected[i] = true;
             }
         }
@@ -208,6 +234,18 @@ impl TransientTracker {
     /// Per-AS affected flags.
     pub fn affected(&self) -> &[bool] {
         &self.affected
+    }
+
+    /// Per-AS control-plane companion flags.
+    pub fn control_affected(&self) -> &[bool] {
+        &self.control_affected
+    }
+
+    /// Fate of traffic from `v` as of the last observation (or
+    /// [`Self::arm`], if none has followed it). Every AS is classified,
+    /// counted or not. Panics before the first of either.
+    pub fn outcome(&self, v: AsId) -> Outcome {
+        self.scratch.outcome(v)
     }
 }
 

@@ -9,11 +9,13 @@
 
 use stamp_bgp::engine::Engine;
 use stamp_bgp::router::BgpRouter;
-use stamp_bgp::types::{Color, PrefixId};
-use stamp_bgp::PathId;
+use stamp_bgp::types::{Color, PrefixId, RootCause};
+use stamp_bgp::{PathArena, PathId};
 use stamp_core::StampRouter;
 use stamp_rbgp::RbgpRouter;
 use stamp_topology::AsId;
+
+pub use stamp_bgp::engine::ViewVersions;
 
 /// One forwarding step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,15 +84,37 @@ pub trait ForwardingView {
     /// event during convergence).
     fn selection_paths(&self, v: AsId) -> Vec<Vec<AsId>>;
 
-    /// Version of `v`'s forwarding behaviour, for memoising compiled
-    /// classification state: while the version is unchanged, `start_ctx`
-    /// and every `step` at `v` return what they returned before. `None`
-    /// (the default) means "cannot version — recompute every time". A
-    /// scratch holding versioned state must be dedicated to one view
-    /// lineage (one engine); versions from different engines are not
-    /// comparable.
-    fn version(&self, _v: AsId) -> Option<u64> {
+    /// Whether every path `v` holds selected traverses one of `causes`
+    /// (vacuously true when `v` holds none) — the "affected in some ways"
+    /// test of the control-plane companion metric. The default
+    /// materialises [`ForwardingView::selection_paths`]; engine views
+    /// override it with arena chain walks that allocate nothing.
+    fn selection_invalidated(&self, v: AsId, causes: &[RootCause]) -> bool {
+        self.selection_paths(v).iter().all(|p| {
+            causes
+                .iter()
+                .any(|c| c.invalidates_with_head(v, p.iter().copied()))
+        })
+    }
+
+    /// Cache keys for memoising compiled classification state (DESIGN.md
+    /// §12). While `local[v]` and `epoch` are unchanged, `start_ctx(v)`
+    /// returns what it returned before, and so does every `step` at `v`
+    /// unless that step read liveness beyond `v`'s own sessions (see
+    /// [`ForwardingView::reads_remote`]), in which case `remote` must be
+    /// unchanged too. `None` (the default) means "cannot version —
+    /// recompute every time". A scratch holding versioned state must be
+    /// dedicated to one view lineage (one engine); versions from
+    /// different engines are not comparable.
+    fn versions(&self) -> Option<ViewVersions<'_>> {
         None
+    }
+
+    /// Whether `step` at `at` currently reads session liveness beyond
+    /// `at`'s own sessions (R-BGP's escape circuits). Whether it does must
+    /// itself depend only on what `local[at]` covers. Default: never.
+    fn reads_remote(&self, _at: AsId) -> bool {
+        false
     }
 
     /// Compact key of `v`'s current selection set: equal keys ⇔ equal
@@ -100,6 +124,14 @@ pub trait ForwardingView {
     fn selection_key(&self, _v: AsId) -> Option<SelectionKey> {
         None
     }
+}
+
+/// Whether the interned selection `p` held by `v` traverses one of `causes`
+/// (a zero-allocation arena chain walk).
+fn path_invalidated(arena: &PathArena, v: AsId, p: PathId, causes: &[RootCause]) -> bool {
+    causes
+        .iter()
+        .any(|c| c.invalidates_with_head(v, arena.iter(p)))
 }
 
 /// Plain-BGP view over a converging engine.
@@ -139,8 +171,16 @@ impl ForwardingView for BgpView<'_> {
         }
     }
 
-    fn version(&self, v: AsId) -> Option<u64> {
-        Some(self.engine.view_version(v))
+    fn selection_invalidated(&self, v: AsId, causes: &[RootCause]) -> bool {
+        self.engine
+            .router(v)
+            .selection(self.prefix)
+            .path_id()
+            .is_none_or(|p| path_invalidated(self.engine.paths(), v, p, causes))
+    }
+
+    fn versions(&self) -> Option<ViewVersions<'_>> {
+        Some(self.engine.view_versions())
     }
 
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
@@ -164,6 +204,21 @@ pub struct RbgpView<'a> {
     pub prefix: PrefixId,
 }
 
+impl RbgpView<'_> {
+    /// The step at `at` in primary mode, or `None` when `at` is in escape
+    /// mode (its primary is missing or that session is down). The mode is
+    /// decided by `at`'s own selection and adjacent session alone.
+    fn primary_step(&self, at: AsId) -> Option<Step> {
+        let r = self.engine.router(at);
+        if r.originates(self.prefix) {
+            return Some(Step::Deliver);
+        }
+        r.primary_next(self.prefix)
+            .filter(|nh| self.engine.session_up(at, *nh))
+            .map(|nh| Step::Hop { to: nh, ctx: 0 })
+    }
+}
+
 impl ForwardingView for RbgpView<'_> {
     fn n(&self) -> usize {
         self.engine.topology().n()
@@ -178,16 +233,11 @@ impl ForwardingView for RbgpView<'_> {
     }
 
     fn step(&self, at: AsId, _ctx: u8) -> Step {
+        if let Some(step) = self.primary_step(at) {
+            return step;
+        }
         let r = self.engine.router(at);
-        if r.originates(self.prefix) {
-            return Step::Deliver;
-        }
         let session_ok = |n: AsId| self.engine.session_up(at, n);
-        if let Some(nh) = r.primary_next(self.prefix) {
-            if session_ok(nh) {
-                return Step::Hop { to: nh, ctx: 0 };
-            }
-        }
         // Primary gone: commit the packet to the chosen failover circuit.
         // Delivered iff every link of the advertised path is alive; the
         // packet cannot escape a second time.
@@ -215,8 +265,21 @@ impl ForwardingView for RbgpView<'_> {
         }
     }
 
-    fn version(&self, v: AsId) -> Option<u64> {
-        Some(self.engine.view_version(v))
+    fn selection_invalidated(&self, v: AsId, causes: &[RootCause]) -> bool {
+        self.engine
+            .router(v)
+            .selection(self.prefix)
+            .path_id()
+            .is_none_or(|p| path_invalidated(self.engine.paths(), v, p, causes))
+    }
+
+    fn versions(&self) -> Option<ViewVersions<'_>> {
+        Some(self.engine.view_versions())
+    }
+
+    fn reads_remote(&self, at: AsId) -> bool {
+        // Escape mode walks the whole pinned circuit.
+        self.primary_step(at).is_none()
     }
 
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {
@@ -343,8 +406,17 @@ impl ForwardingView for StampView<'_> {
             .collect()
     }
 
-    fn version(&self, v: AsId) -> Option<u64> {
-        Some(self.engine.view_version(v))
+    fn selection_invalidated(&self, v: AsId, causes: &[RootCause]) -> bool {
+        let r = self.engine.router(v);
+        Color::ALL.iter().all(|c| {
+            r.selection(self.prefix, *c)
+                .path_id()
+                .is_none_or(|p| path_invalidated(self.engine.paths(), v, p, causes))
+        })
+    }
+
+    fn versions(&self) -> Option<ViewVersions<'_>> {
+        Some(self.engine.view_versions())
     }
 
     fn selection_key(&self, v: AsId) -> Option<SelectionKey> {

@@ -273,3 +273,49 @@ fn node_failure_stamp_not_worse_than_bgp() {
     };
     assert!(run_stamp() <= run_bgp());
 }
+
+/// An R-BGP escape circuit reads links far from the AS that forwards into
+/// it: AS 2 loses its only route (the 2–4 link) and commits packets to
+/// the failover path AS 0 advertised it, the circuit 2→0→1→3→4; a
+/// millisecond later the 1–3 link dies, which breaks the circuit before
+/// AS 2 hears of it (no event reaches AS 2 in between). The incremental
+/// tracker must see that blackhole exactly as a fresh classification of
+/// the same instant does.
+#[test]
+fn rbgp_escape_circuit_tracks_non_adjacent_liveness() {
+    let g = diamond();
+    let dest = AsId(4);
+    let primary = g.link_between(AsId(2), AsId(4)).unwrap();
+    let far = g.link_between(AsId(1), AsId(3)).unwrap();
+    let reachable = reachable_after(&g, dest, &[primary, far]);
+
+    let mut e: Engine<RbgpRouter> = Engine::new(g.clone(), EngineConfig::default(), |v| {
+        RbgpRouter::new(
+            v,
+            if v == dest { vec![P] } else { vec![] },
+            RbgpConfig::default(),
+        )
+    });
+    e.start();
+    e.run_to_quiescence(None);
+    let mut tracker = TransientTracker::new(dest, reachable);
+    e.inject_after(SimDuration::from_secs(5), ScenarioEvent::FailLink(primary));
+    e.inject_after(
+        SimDuration::from_secs(5) + SimDuration::from_millis(1),
+        ScenarioEvent::FailLink(far),
+    );
+    let mut escape_drop = false;
+    e.run_until_quiescent(None, |e, _t| {
+        let view = RbgpView {
+            engine: e,
+            prefix: P,
+        };
+        tracker.observe(&view);
+        let fresh = classify_all(&view);
+        escape_drop |= fresh[2] == Outcome::Blackhole;
+        for (i, o) in fresh.iter().enumerate() {
+            assert_eq!(tracker.outcome(AsId::from_usize(i)), *o, "AS {i}");
+        }
+    });
+    assert!(escape_drop, "the far failure never broke AS 2's circuit");
+}

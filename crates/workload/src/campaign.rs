@@ -819,6 +819,16 @@ pub fn populate_baselines(
     }
 }
 
+/// The worker count `threads` asks for: itself, or one worker per
+/// available core for 0. [`run_sharded`] resolves its `threads` here.
+pub fn worker_count(threads: usize) -> usize {
+    if threads > 0 {
+        return threads;
+    }
+    // simlint::allow(ambient-env, "thread count only partitions work; each result depends on its index alone")
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The one parallel runner: evaluate `task(i)` for every `i` in
 /// `0..tasks` across `threads` scoped workers (0 = all available cores;
 /// never more workers than tasks) and return the results in index order.
@@ -833,15 +843,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = if threads == 0 {
-        // simlint::allow(ambient-env, "thread count only partitions work; each result depends on its index alone")
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(tasks.max(1));
+    let threads = worker_count(threads).min(tasks.max(1));
 
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();

@@ -43,8 +43,8 @@ pub mod timeline;
 
 pub use campaign::{
     adversarial_families, populate_baselines, run_campaign, run_campaign_with_cache,
-    run_protocol_cell, run_protocol_cell_warm, run_sharded, standard_families, Aggregate,
-    BaselineCache, CacheStats, CampaignCell, CampaignConfig, CampaignReport, CellResult,
+    run_protocol_cell, run_protocol_cell_warm, run_sharded, standard_families, worker_count,
+    Aggregate, BaselineCache, CacheStats, CampaignCell, CampaignConfig, CampaignReport, CellResult,
     InstanceMetrics, ParseProtocolError, Protocol, RunParams, PREFIX,
 };
 pub use canned::{destination_candidates, sample_canned, CannedWorkload, FailureScenario};

@@ -402,19 +402,12 @@ impl Probe for MetricsProbe {
                 view,
                 ..
             } => {
-                // Only the *first* baseline arms the control metric: a
-                // probe reused across several plays keeps measuring
-                // against its original pre-event state instead of
-                // silently resampling (and dropping its causes)
-                // mid-measurement.
+                // Only the *first* baseline arms the tracker: a probe
+                // reused across several plays keeps measuring against its
+                // original pre-event state instead of silently resampling
+                // (and dropping its causes) mid-measurement.
                 if let Some(causes) = self.causes.take() {
-                    // `with_control_metric` is a by-value builder; swap
-                    // through a placeholder to apply it in place.
-                    let t = std::mem::replace(
-                        &mut self.tracker,
-                        TransientTracker::new(AsId(0), vec![]),
-                    );
-                    self.tracker = t.with_control_metric(causes, view);
+                    self.tracker.arm(causes, view);
                 }
             }
             SimEvent::Snapshot {

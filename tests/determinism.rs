@@ -21,17 +21,18 @@
 //! The two aggregate hashes are read from `workload::goldens::GOLDENS`,
 //! the one table every gate checks.
 
-use stamp_repro::bgp::types::PrefixId;
+use stamp_repro::bgp::types::{PrefixId, RootCause};
 use stamp_repro::eventsim::rng::tags;
 use stamp_repro::eventsim::{rng_stream, DelayModel, SimDuration};
 use stamp_repro::experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
-use stamp_repro::sim::{NullProbe, Sim};
+use stamp_repro::forwarding::{classify_all, ForwardingView, Outcome};
+use stamp_repro::sim::{MetricsProbe, NullProbe, Probe, Sim, SimEvent, SnapshotCause};
 use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
 use stamp_repro::workload::goldens::{self, GOLDEN_SEED};
 use stamp_repro::workload::{
     adversarial_grid, destination_candidates, flap_train, run_campaign, run_protocol_cell,
-    sample_canned, smoke_grid, CampaignConfig, InstanceMetrics, PolicyRegime, RunOutcome,
-    RunParams, Timeline, WatchdogConfig,
+    sample_canned, smoke_grid, CampaignCell, CampaignConfig, InstanceMetrics, PolicyRegime,
+    RunOutcome, RunParams, Timeline, WatchdogConfig, PREFIX,
 };
 
 /// The full single-link-failure workload, run twice with identical
@@ -459,5 +460,163 @@ fn diverging_cells_fold_into_the_aggregate_deterministically() {
     assert_eq!(
         serial.hash, parallel.hash,
         "divergence hash depends on worker count"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Incremental measurement: the differential oracle
+// ---------------------------------------------------------------------
+
+/// Wraps [`MetricsProbe`] and checks, at every observation, the
+/// incremental tracker against a from-scratch oracle: each AS's outcome
+/// against a fresh `classify_all` of the same view, and the affected,
+/// loop, blackhole and control-plane flags against a naive re-derivation
+/// that visits every AS at every observation.
+struct Oracle {
+    inner: MetricsProbe,
+    dest: AsId,
+    reachable: Vec<bool>,
+    causes: Vec<RootCause>,
+    /// Selection paths at the first baseline snapshot.
+    baseline: Option<Vec<Vec<Vec<AsId>>>>,
+    affected: Vec<bool>,
+    loops: Vec<bool>,
+    holes: Vec<bool>,
+    control: Vec<bool>,
+    observations: usize,
+}
+
+impl Oracle {
+    fn new(dest: AsId, reachable: Vec<bool>, causes: Vec<RootCause>) -> Oracle {
+        let n = reachable.len();
+        Oracle {
+            inner: MetricsProbe::new(dest, reachable.clone(), causes.clone()),
+            dest,
+            reachable,
+            causes,
+            baseline: None,
+            affected: vec![false; n],
+            loops: vec![false; n],
+            holes: vec![false; n],
+            control: vec![false; n],
+            observations: 0,
+        }
+    }
+}
+
+impl Probe for Oracle {
+    fn on_event<V: ForwardingView + ?Sized>(&mut self, event: SimEvent<'_, V>) {
+        let snapshot = match &event {
+            SimEvent::Snapshot { cause, view, .. } => Some((*cause, *view)),
+            _ => None,
+        };
+        self.inner.on_event(event);
+        let Some((cause, view)) = snapshot else {
+            return;
+        };
+        let n = view.n();
+        if cause == SnapshotCause::Baseline {
+            if self.baseline.is_none() {
+                let paths = (0..n)
+                    .map(|v| view.selection_paths(AsId::from_usize(v)))
+                    .collect();
+                self.baseline = Some(paths);
+            }
+            return;
+        }
+        self.observations += 1;
+        let fresh = classify_all(view);
+        let tracker = self.inner.tracker();
+        let mut problems = false;
+        for (i, &o) in fresh.iter().enumerate() {
+            let v = AsId::from_usize(i);
+            assert_eq!(tracker.outcome(v), o, "outcome of {v}");
+            if v == self.dest || !self.reachable[i] {
+                continue;
+            }
+            problems |= o != Outcome::Delivered;
+            self.affected[i] |= o != Outcome::Delivered;
+            self.loops[i] |= o == Outcome::Loop;
+            self.holes[i] |= o == Outcome::Blackhole;
+            let baseline = self
+                .baseline
+                .as_ref()
+                .expect("a baseline precedes observations");
+            let paths = view.selection_paths(v);
+            if paths != baseline[i]
+                && paths.iter().all(|p| {
+                    self.causes
+                        .iter()
+                        .any(|c| c.invalidates_with_head(v, p.iter().copied()))
+                })
+            {
+                self.control[i] = true;
+            }
+        }
+        assert_eq!(tracker.last_observation_had_problems, problems);
+        assert_eq!(tracker.affected(), &self.affected[..], "affected flags");
+        assert_eq!(
+            tracker.loop_count(),
+            self.loops.iter().filter(|f| **f).count()
+        );
+        assert_eq!(
+            tracker.blackhole_count(),
+            self.holes.iter().filter(|f| **f).count()
+        );
+        if !self.causes.is_empty() {
+            assert_eq!(
+                tracker.control_affected(),
+                &self.control[..],
+                "control flags"
+            );
+        }
+    }
+}
+
+/// Every cell of the smoke and adversarial grids, under every protocol,
+/// played twice on one session with one probe — fresh after convergence,
+/// then again after a restore (which forces the classification cold) —
+/// with the oracle checking every observation.
+#[test]
+fn incremental_tracker_matches_a_fresh_classification_at_every_observation() {
+    let mut observations = 0;
+    for (g, timelines, dests, cfg) in [smoke_grid(GOLDEN_SEED), adversarial_grid(GOLDEN_SEED)] {
+        for (t, timeline) in timelines.iter().enumerate() {
+            let removed = timeline.removed_links(&g).unwrap();
+            for &dest in &dests {
+                let reachable =
+                    StaticRoutes::compute(&g.without_links(&removed), dest).reachable_mask();
+                for &seed in &cfg.seeds {
+                    let cell = CampaignCell {
+                        timeline: t,
+                        dest,
+                        seed,
+                    };
+                    for p in Protocol::ALL {
+                        let mut sim = Sim::on(&g)
+                            .protocol(p)
+                            .originate(dest, PREFIX)
+                            .seed(cell.engine_seed())
+                            .params(cfg.params.clone())
+                            .build()
+                            .unwrap();
+                        sim.converge();
+                        let ck = sim.checkpoint();
+                        let mut oracle =
+                            Oracle::new(dest, reachable.clone(), timeline.root_causes());
+                        for _ in 0..2 {
+                            sim.restore(&ck).unwrap();
+                            sim.reset_measurement();
+                            sim.play(timeline, &mut oracle).unwrap();
+                        }
+                        observations += oracle.observations;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        observations > 1000,
+        "only {observations} observations checked"
     );
 }
