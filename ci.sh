@@ -67,6 +67,14 @@ cargo test -q --offline
 cargo test --doc --offline
 echo "tier-1 gate passed (offline, incl. doctests)"
 
+# --- perfbench: builds and unit-tests against the current API -------------
+# perfbench/ is a package and workspace of its own that drives the crates
+# through their public functions (Sim::{checkpoint, restore},
+# populate_baselines, run_campaign_with_cache, ...). Building and testing it
+# here makes a break of that API stop CI instead of the next benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+echo "perfbench build + unit tests passed (offline)"
+
 # --- Policy DSL round-trip gate -------------------------------------------
 # Every built-in regime must print a canonical .pol document that parses
 # back to the same value and re-prints byte-identically, compile to dense
@@ -80,10 +88,10 @@ echo "policy .pol round-trip gate passed"
 # crates/workload/src/goldens.rs: smoke, adversarial, campaign at 500
 # ASes, campaign_2000, and the policy sweep under each built-in regime),
 # each run cold at 1 worker, cold at N workers and warm (every cell forked
-# from a pre-converged checkpoint). The binary asserts the three passes
-# hash identically and that each aggregate equals its table entry, and
-# exits non-zero naming the grid, the golden and the hash it got on the
-# first mismatch — so a checkpoint/restore field omission that shifts
+# from a cached converged baseline, a frozen `Sim`). The binary asserts the
+# three passes hash identically and that each aggregate equals its table
+# entry, and exits non-zero naming the grid, the golden and the hash it got
+# on the first mismatch — so a fork that misses some state and shifts
 # results stops CI even if it shifts them *consistently*. Naming the
 # default regime (`--policy gao-rexford`) must be a no-op: the run is the
 # pinned default. `--check` leaves BENCH_campaign.json untouched.

@@ -2,7 +2,7 @@
 //! static route solver, uphill path counting, route propagation through
 //! the RIB/decision hot path, full-engine convergence, the data-plane
 //! observation tick, the probe's share of a warm replay and warm-start
-//! checkpoints.
+//! forks.
 //!
 //! Emits a machine-readable `BENCH_micro.json` (median/p95 per benchmark)
 //! at the repo root alongside the human-readable report lines; override
@@ -341,19 +341,16 @@ fn bench_replay_probe(h: &Harness, report: &mut JsonReport) {
 }
 
 /// The warm-start building blocks at campaign scale (2000 ASes):
-/// `snapshot_2000` is the allocating `Engine::snapshot` that
-/// `Sim::checkpoint` runs, `restore_2000` the in-place restore
-/// (memcpy-class copies into the engine's pre-sized buffers, a
-/// `simlint::hot` function), `warm_cell_2000` a full campaign cell forked
-/// from a cached baseline (restore + timeline replay, no cold convergence).
+/// `fork_2000` is the `SimCheckpoint::fork` every warm cell starts with
+/// (a copy of the converged session's mutable state; the topology is
+/// shared), `warm_cell_2000` a full campaign cell forked from a cached
+/// baseline (fork + timeline replay, no cold convergence).
 fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
-    use stamp_bgp::engine::{Engine, EngineConfig};
-    use stamp_bgp::router::BgpRouter;
-    use stamp_bgp::types::PrefixId;
     use stamp_eventsim::rng::tags;
     use stamp_eventsim::rng_stream;
     use stamp_workload::{
         run_protocol_cell_warm, sample_canned, BaselineCache, FailureScenario, Protocol, RunParams,
+        Sim, PREFIX,
     };
 
     let g = generate(&GenConfig {
@@ -361,20 +358,17 @@ fn bench_checkpoint(h: &Harness, report: &mut JsonReport) {
         ..GenConfig::small(21)
     })
     .unwrap();
-    let dest = AsId(1999);
-    let mut e: Engine<BgpRouter> = Engine::new(g.clone(), EngineConfig::fast(5), |v| {
-        let own = if v == dest { vec![PrefixId(0)] } else { vec![] };
-        BgpRouter::new(v, own)
-    });
-    e.start();
-    e.run_to_quiescence(None);
-
-    let ck = e.snapshot();
-    report.bench(h, "snapshot_2000", || {
-        black_box(e.snapshot());
-    });
-    report.bench(h, "restore_2000", || {
-        e.restore(black_box(&ck));
+    let fast = RunParams::fast();
+    let mut sim = Sim::on(&g)
+        .originate(AsId(1999), PREFIX)
+        .seed(5)
+        .params(fast.clone())
+        .build()
+        .unwrap();
+    sim.converge();
+    let ck = sim.checkpoint();
+    report.bench(h, "fork_2000", || {
+        black_box(ck.fork(&fast));
     });
 
     let mut rng = rng_stream(900, tags::WORKLOAD);

@@ -48,9 +48,9 @@ struct GridRun {
 }
 
 /// Run the grid cold at one worker, cold at `threads` (0 = one per core),
-/// then warm (every cell forked from a pre-converged checkpoint) —
+/// then warm (every cell forked from a pre-converged baseline) —
 /// asserting the byte-identical aggregate across all three. The warm-equals-cold check
-/// is the campaign-scale proof that `restore` rewinds everything a replay
+/// is the campaign-scale proof that a fork carries everything a replay
 /// depends on.
 fn run_grid((g, timelines, dests, cfg): &Grid, threads: usize) -> GridRun {
     let threads_n = worker_count(threads);

@@ -11,7 +11,7 @@
 //! three protocols observe byte-identical topologies, failure choices and
 //! delay sequences.
 
-use crate::patharena::{ArenaMark, PathArena};
+use crate::patharena::PathArena;
 use crate::router::{OutMsg, RouterCtx, RouterLogic, SessionView, StateFingerprint};
 use crate::types::{PrefixId, ProcId, Route, UpdateKind, UpdateMsg};
 use stamp_eventsim::rng::{tags, Rng};
@@ -86,9 +86,10 @@ pub enum ScenarioEvent {
     /// `stamp_policy::PolicyRegime::index_of`; an out-of-range index is a
     /// no-op). Affects every import/export decision from the next
     /// delivered message on; nothing is re-evaluated retroactively. The
-    /// engine config is deliberately not checkpointed, so a restore across
-    /// a flip keeps the flipped regime — timelines that flip policy should
-    /// not be mixed with snapshot/rollback within one run.
+    /// engine config is deliberately not copied by [`Engine::restore`], so
+    /// a restore across a flip keeps the flipped regime — timelines that
+    /// flip policy should not be mixed with restore/rollback within one
+    /// run (a fresh fork of the baseline carries the baseline's regime).
     FlipPolicy(u16),
 }
 
@@ -182,7 +183,7 @@ pub struct EngineConfig {
     /// Compiled policy regime every router consults for import preference
     /// and export gating. The default (`gao-rexford`) reproduces the
     /// paper's hardwired prefer-customer + valley-free semantics exactly.
-    /// Deliberately *not* part of checkpoints: a checkpoint restores into
+    /// Deliberately *not* copied by [`Engine::restore`]: a restore targets
     /// an engine that already carries its regime.
     pub policy: CompiledRegime,
     /// Convergence-watchdog thresholds (oscillation detector + event
@@ -339,6 +340,12 @@ struct MraiSlot {
 /// session set is fixed for the lifetime of a run, so nothing on the
 /// per-message path ever probes a hash map keyed by `(AsId, AsId, …)`
 /// tuples.
+///
+/// Cloning an engine forks it: the clone owns independent copies of all
+/// mutable state (the topology's tables are shared, they never change),
+/// so both copies may diverge freely and each replays bit-identically to
+/// the other.
+#[derive(Clone)]
 pub struct Engine<R: RouterLogic> {
     g: AsGraph,
     routers: Vec<R>,
@@ -476,12 +483,6 @@ impl<R: RouterLogic> Engine<R> {
     /// routers and messages).
     pub fn paths(&self) -> &PathArena {
         &self.paths
-    }
-
-    /// Mutable arena access for harnesses that intern paths outside an
-    /// engine-driven event (tests, hand-fed updates).
-    pub fn paths_mut(&mut self) -> &mut PathArena {
-        &mut self.paths
     }
 
     /// Router of one AS (immutable — data-plane snapshots).
@@ -703,72 +704,39 @@ impl<R: RouterLogic> Engine<R> {
     }
 
     // ------------------------------------------------------------------
-    // Checkpoint / restore
+    // Restore
     // ------------------------------------------------------------------
 
-    /// Capture the engine's complete mutable state as a [`Checkpoint`]:
-    /// routers, scheduler (pending events and clock), liveness, per-session
-    /// channel/MRAI state, RNG stream positions, counters, and the path
-    /// arena (contents and high-water mark). Restoring it — on this
-    /// engine, a clone, or an identically constructed fresh engine —
-    /// resumes the simulation bit-identically.
-    pub fn snapshot(&self) -> Checkpoint<R>
-    where
-        R: Clone,
-    {
-        Checkpoint {
-            routers: self.routers.clone(),
-            paths: self.paths.clone(),
-            sched: self.sched.clone(),
-            state: self.state.clone(),
-            channels: self.channels.clone(),
-            mrai: self.mrai.clone(),
-            link_epoch: self.link_epoch.clone(),
-            scenario_seq: self.scenario_seq,
-            delay_rng: self.delay_rng.clone(),
-            loss_rng: self.loss_rng.clone(),
-            stats: self.stats,
-            started: self.started,
-        }
-    }
-
-    /// Restore a [`Checkpoint`] taken from this engine (or an identically
-    /// constructed one: same topology, same config). All mutable state is
-    /// overwritten in place — existing buffers are reused, nothing of the
-    /// post-snapshot timeline survives. When this engine's arena is an
-    /// append-only extension of the snapshot's (the same-lineage case,
-    /// verified by a prefix compare), the arena is *truncated* back to the
-    /// snapshot's high-water mark instead of copied; either way paths
-    /// interned after the snapshot are forgotten and a replay re-interns
-    /// them in identical order, so restored runs are bit-identical to a
-    /// cold run reaching the same state and can never observe ids a
-    /// sibling fork interned after the snapshot.
+    /// Rewind this engine to the state of `from`, an engine of the same
+    /// construction (same topology, same config) — typically a converged
+    /// baseline kept frozen for reuse. All mutable state is overwritten in
+    /// place with `clone_from`, so existing buffers are reused and nothing
+    /// of this engine's own timeline survives; the path arena is copied
+    /// wholesale, so a replay re-interns post-baseline paths in identical
+    /// order and can never observe ids a sibling fork interned. Restored
+    /// runs are bit-identical to a cold run reaching the same state.
     ///
     /// The forwarding-view restore epoch ([`Engine::view_versions`]) is
-    /// bumped, not restored: versions stay monotone so any cached
+    /// bumped, not copied: versions stay monotone so any cached
     /// classification built against pre-restore state is invalidated.
     // simlint::hot
-    pub fn restore(&mut self, ck: &Checkpoint<R>)
+    pub fn restore(&mut self, from: &Engine<R>)
     where
         R: Clone,
     {
-        self.routers.clone_from(&ck.routers);
-        if self.paths.extends(&ck.paths) {
-            self.paths.truncate_to_mark(ck.paths.mark());
-        } else {
-            self.paths.clone_from(&ck.paths);
-        }
-        self.sched.clone_from(&ck.sched);
-        self.state.link_up.clone_from(&ck.state.link_up);
-        self.state.node_up.clone_from(&ck.state.node_up);
-        self.channels.clone_from(&ck.channels);
-        self.mrai.clone_from(&ck.mrai);
-        self.link_epoch.clone_from(&ck.link_epoch);
-        self.scenario_seq = ck.scenario_seq;
-        self.delay_rng.clone_from(&ck.delay_rng);
-        self.loss_rng.clone_from(&ck.loss_rng);
-        self.stats = ck.stats;
-        self.started = ck.started;
+        self.routers.clone_from(&from.routers);
+        self.paths.clone_from(&from.paths);
+        self.sched.clone_from(&from.sched);
+        self.state.link_up.clone_from(&from.state.link_up);
+        self.state.node_up.clone_from(&from.state.node_up);
+        self.channels.clone_from(&from.channels);
+        self.mrai.clone_from(&from.mrai);
+        self.link_epoch.clone_from(&from.link_epoch);
+        self.scenario_seq = from.scenario_seq;
+        self.delay_rng.clone_from(&from.delay_rng);
+        self.loss_rng.clone_from(&from.loss_rng);
+        self.stats = from.stats;
+        self.started = from.started;
         self.view_epoch += 1;
         self.view_log.clear();
         self.view_log_gen += 1;
@@ -1269,71 +1237,6 @@ impl<R: RouterLogic> Engine<R> {
     }
 }
 
-/// A full capture of an [`Engine`]'s mutable state (see
-/// [`Engine::snapshot`]): everything that evolves during a run — router
-/// state, pending events with the clock, liveness, per-session FIFO/MRAI
-/// state, RNG stream positions, counters — plus the path arena (its
-/// nodes and, implicitly, its high-water mark, see
-/// [`Checkpoint::arena_mark`]). What it deliberately does *not* carry:
-/// the topology and config (immutable per engine; restore targets must
-/// match), the per-session MRAI jitter intervals (a pure function of
-/// topology and seed, sampled at construction), and the forwarding-view
-/// version counters (monotone cache keys, never rewound).
-#[derive(Clone)]
-pub struct Checkpoint<R> {
-    routers: Vec<R>,
-    paths: PathArena,
-    sched: Scheduler<Event>,
-    state: LinkState,
-    channels: Vec<FifoChannel>,
-    mrai: Vec<Vec<MraiSlot>>,
-    link_epoch: Vec<u64>,
-    scenario_seq: u32,
-    delay_rng: Rng,
-    loss_rng: Rng,
-    stats: RunStats,
-    started: bool,
-}
-
-impl<R> Checkpoint<R> {
-    /// The arena high-water mark captured at snapshot time: restoring into
-    /// a same-lineage engine truncates its arena back to this point.
-    pub fn arena_mark(&self) -> ArenaMark {
-        self.paths.mark()
-    }
-}
-
-/// Forking an engine (checkpoint-and-branch without disturbing the
-/// original): the clone owns independent copies of everything, including
-/// the full path arena, so both copies may diverge freely.
-impl<R: RouterLogic + Clone> Clone for Engine<R> {
-    fn clone(&self) -> Self {
-        Engine {
-            g: self.g.clone(),
-            routers: self.routers.clone(),
-            paths: self.paths.clone(),
-            sched: self.sched.clone(),
-            state: self.state.clone(),
-            channels: self.channels.clone(),
-            mrai: self.mrai.clone(),
-            mrai_interval: self.mrai_interval.clone(),
-            cfg: self.cfg.clone(),
-            link_epoch: self.link_epoch.clone(),
-            scenario_seq: self.scenario_seq,
-            delay_rng: self.delay_rng.clone(),
-            loss_rng: self.loss_rng.clone(),
-            stats: self.stats,
-            started: self.started,
-            out_scratch: Vec::new(),
-            view_touch: self.view_touch.clone(),
-            view_log: self.view_log.clone(),
-            view_log_gen: self.view_log_gen,
-            view_epoch: self.view_epoch,
-            view_remote: self.view_remote,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1401,7 +1304,7 @@ mod tests {
         let mut e = engine(g.clone(), AsId(4), 3);
         e.start();
         e.run_to_quiescence(None);
-        let ck = e.snapshot();
+        let ck = e.clone();
         let moved = |e: &Engine<BgpRouter>, before: &[u64]| -> Vec<u32> {
             let v = e.view_versions();
             (0..5u32)
@@ -1750,17 +1653,17 @@ mod tests {
         assert!(observations > 0, "initial convergence must change FIBs");
     }
 
-    /// The checkpoint contract at the engine level: snapshot → mutate →
-    /// restore → mutate replays bit-identically, whether the restore
-    /// target is the donor engine (arena truncation path) or a fresh
-    /// identically-constructed engine (arena copy path).
+    /// The restore contract at the engine level: fork → mutate → restore
+    /// → mutate replays bit-identically, whether the restore target is the
+    /// engine the fork was taken from or a fresh identically-constructed
+    /// engine, and so does the fork itself.
     #[test]
     fn snapshot_restore_replays_bit_identically() {
         let g = diamond();
         let mut e = engine(g.clone(), AsId(4), 11);
         e.start();
         e.run_to_quiescence(None);
-        let ck = e.snapshot();
+        let ck = e.clone();
         let arena_at_ck = e.paths().node_count();
 
         let id = g.link_between(AsId(4), AsId(2)).unwrap();
@@ -1781,28 +1684,23 @@ mod tests {
             "replay only appends to the arena"
         );
 
-        // Same-lineage restore: the arena extends the snapshot, so the
-        // rewind is a truncation back to the mark.
+        // Restoring the engine that replayed rewinds its arena too.
         e.restore(&ck);
-        assert_eq!(
-            e.paths().node_count(),
-            arena_at_ck,
-            "arena truncated to the mark"
-        );
+        assert_eq!(e.paths().node_count(), arena_at_ck, "arena rewound");
         let second = play(&mut e);
         assert_eq!(first, second, "same-engine replay diverged");
 
-        // Cross-lineage restore: a fresh engine with an empty arena adopts
-        // the snapshot wholesale (copy path) and replays identically.
+        // A fresh engine adopts the baseline wholesale and replays
+        // identically.
         let mut f = engine(g.clone(), AsId(4), 11);
         f.restore(&ck);
-        assert_eq!(
-            f.paths().node_count(),
-            arena_at_ck,
-            "arena copied from the snapshot"
-        );
+        assert_eq!(f.paths().node_count(), arena_at_ck, "arena copied");
         let third = play(&mut f);
         assert_eq!(first, third, "fresh-engine replay diverged");
+
+        // The fork itself replays like the engine it was taken from.
+        let mut fork = ck.clone();
+        assert_eq!(first, play(&mut fork), "fork replay diverged");
     }
 }
 

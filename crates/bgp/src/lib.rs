@@ -36,8 +36,8 @@ pub mod rib;
 pub mod router;
 pub mod types;
 
-pub use engine::{Checkpoint, Engine, EngineConfig, RunStats, ScenarioEvent, ViewVersions};
-pub use patharena::{ArenaMark, PathArena, PathId};
+pub use engine::{Engine, EngineConfig, RunStats, ScenarioEvent, ViewVersions};
+pub use patharena::{PathArena, PathId};
 pub use rib::{DecisionOutcome, RibEntry, RibIn};
 pub use router::{BgpRouter, OutMsg, RouterCtx, RouterLogic};
 pub use types::{

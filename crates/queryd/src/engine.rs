@@ -1,11 +1,11 @@
 //! The resident query engine: converge every `(protocol, destination)`
-//! baseline once at startup, keep the converged sessions and their
-//! checkpoints resident, and answer what-if queries by forking — never by
-//! re-converging a warm cell.
+//! baseline once at startup, keep each converged session resident (one
+//! copy, shared with the baseline cache), and answer what-if queries by
+//! forking — never by re-converging a warm cell.
 //!
 //! Determinism contract: a `WHATIF` row is produced by
 //! [`stamp_workload::run_protocol_cell_warm`] with the daemon's engine
-//! seed, restoring from the resident [`BaselineCache`] — the exact code
+//! seed, forking from the resident [`BaselineCache`] — the exact code
 //! path the campaign runner's warm pass takes, whose bit-identity to the
 //! cold path is pinned by `tests/warmstart.rs` and the campaign binary's
 //! hash assertions. `tests/queryd.rs` closes the loop by comparing query
@@ -17,12 +17,13 @@ use crate::protocol::{
 use stamp_eventsim::SimDuration;
 use stamp_topology::disjoint::{max_disjoint_uphill_paths, two_disjoint_uphill_paths};
 use stamp_topology::{AsGraph, AsId, StaticRoutes};
-use stamp_workload::sim::{Sim, SimError};
+use stamp_workload::sim::{SimCheckpoint, SimError};
 use stamp_workload::{
     node_drain, run_protocol_cell_warm, single_link_failure, BaselineCache, CacheStats,
-    PolicyRegime, Protocol, RunParams, Timeline, TimelineError, PREFIX,
+    PolicyRegime, Protocol, RunParams, Timeline, TimelineError,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// Everything the daemon serves: the protocol set, the destinations with
 /// resident baselines, and the engine knobs shared by every query.
@@ -134,16 +135,17 @@ impl QueryError {
     }
 }
 
-/// One resident baseline: the converged session (kept for `SHOW ROUTE` /
-/// `SHOW BASELINES`) plus the row the listing reports.
+/// One resident baseline: the converged session (read by `SHOW ROUTE` /
+/// `SHOW BASELINES`; the same `Arc` the cache forks queries from) plus the
+/// row the listing reports.
 struct Baseline {
     proto: Protocol,
     dest: AsId,
-    sim: Sim,
+    ck: Arc<SimCheckpoint>,
 }
 
 /// The resident service: owns the topology, the converged baseline
-/// sessions, and the checkpoint cache every query forks from. All query
+/// sessions, and the baseline cache every query forks from. All query
 /// entry points take `&self` — the cache is internally locked, so one
 /// engine can serve the stdin loop and TCP connections concurrently.
 pub struct QueryEngine {
@@ -155,28 +157,21 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Converge every `(protocol, dest)` pair of `cfg` on `g` and deposit
-    /// the checkpoints. Startup is the expensive step by design — queries
+    /// the baselines. Startup is the expensive step by design — queries
     /// then fork instead of converging.
     pub fn new(g: AsGraph, cfg: QuerydConfig) -> Result<QueryEngine, QueryError> {
         let cache = match cfg.cache_capacity {
             Some(cap) => BaselineCache::with_capacity(cap),
             None => BaselineCache::new(),
         };
-        let policy_fp = cfg.params.policy.fingerprint();
         let mut baselines = Vec::with_capacity(cfg.dests.len() * cfg.protocols.len());
         for &dest in &cfg.dests {
             for &proto in &cfg.protocols {
-                let mut sim = Sim::on(&g)
-                    .protocol(proto)
-                    .originate(dest, PREFIX)
-                    .seed(cfg.seed)
-                    .params(cfg.params.clone())
-                    .build()
+                let ck = cache
+                    .converge(&g, &cfg.params, proto, dest, cfg.seed)
                     .map_err(QueryError::Sim)?;
-                sim.converge();
-                debug_assert!(sim.converged());
-                cache.put(proto, dest, cfg.seed, policy_fp, sim.checkpoint());
-                baselines.push(Baseline { proto, dest, sim });
+                debug_assert!(ck.sim().converged());
+                baselines.push(Baseline { proto, dest, ck });
             }
         }
         Ok(QueryEngine {
@@ -360,8 +355,8 @@ impl QueryEngine {
                 .map(|b| BaselineRow {
                     proto: b.proto,
                     dest: b.dest,
-                    updates_initial: b.sim.updates_initial(),
-                    paths: b.sim.interned_paths(),
+                    updates_initial: b.ck.sim().updates_initial(),
+                    paths: b.ck.sim().interned_paths(),
                 })
                 .collect(),
         }
@@ -379,7 +374,7 @@ impl QueryEngine {
         }
         let mut rows = Vec::new();
         for b in self.baselines.iter().filter(|b| b.dest == dest) {
-            let paths = b.sim.with_view(|v| v.selection_paths(from));
+            let paths = b.ck.sim().with_view(|v| v.selection_paths(from));
             if paths.is_empty() {
                 rows.push(RouteRow {
                     proto: b.proto,

@@ -6,7 +6,7 @@
 //! forked per cell, bit-identically. This crate completes that thought:
 //! instead of a batch that converges, measures and exits, a *daemon*
 //! converges every `(protocol, destination)` baseline once at startup,
-//! keeps the checkpoints resident, and answers an open-ended stream of
+//! keeps the converged sessions resident, and answers an open-ended stream of
 //! what-if questions — each one a fork, never a re-convergence.
 //!
 //! Three layers, separable on purpose:

@@ -11,7 +11,8 @@
 use crate::engine::QueryEngine;
 use crate::protocol::{Request, RequestError, MAX_REQUEST_LINE};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 /// Read one newline-terminated line, buffering at most
 /// `MAX_REQUEST_LINE + 1` bytes of it — the tail of an oversized line is
@@ -92,15 +93,27 @@ pub fn serve<R: BufRead, W: Write>(
     out.flush()
 }
 
-/// Accept connections sequentially and [`serve`] each one. Per-connection
-/// I/O errors (client hung up mid-reply) drop that connection and keep the
-/// listener alive; only accept errors propagate.
+/// How long a TCP client may keep the daemon waiting on one read or one
+/// write. Connections are served one at a time, so without it a client
+/// that connects and goes quiet would stall every client queued behind
+/// it; with it, that client loses its connection and the next is served.
+pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Accept connections sequentially and [`serve`] each one under
+/// [`CLIENT_TIMEOUT`]. A per-connection failure (the client hung up
+/// mid-reply, or idled past the timeout) drops that connection and keeps
+/// the listener alive; only accept errors propagate.
 pub fn serve_tcp(engine: &QueryEngine, listener: &TcpListener) -> io::Result<()> {
     loop {
         let (stream, _addr) = listener.accept()?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let _ = serve(engine, reader, &stream);
+        let _ = serve_stream(engine, &stream);
     }
+}
+
+fn serve_stream(engine: &QueryEngine, stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
+    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+    serve(engine, BufReader::new(stream), stream)
 }
 
 #[cfg(test)]
@@ -207,5 +220,46 @@ mod tests {
         assert!(lines.iter().any(|l| l.starts_with("DISJOINTNESS dest=0 ")));
         assert_eq!(lines.last().map(String::as_str), Some("END"));
         assert!(lines.contains(&"BYE".to_string()));
+    }
+
+    /// A client that connects and then sends nothing holds the daemon for
+    /// at most [`CLIENT_TIMEOUT`]: the next client still gets its reply,
+    /// and only the idle connection is closed.
+    #[test]
+    fn an_idle_client_cannot_stall_the_next_one() {
+        use std::io::{BufRead, BufReader, Read, Write};
+        use std::sync::Arc;
+        use std::time::Instant;
+
+        let e = Arc::new(engine(63));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::clone(&e);
+        std::thread::spawn(move || {
+            let _ = serve_tcp(&server, &listener);
+        });
+        let deadline = Some(CLIENT_TIMEOUT * 4);
+        // The idle client: its banner proves the daemon is serving it.
+        let idle = TcpStream::connect(addr).unwrap();
+        idle.set_read_timeout(deadline).unwrap();
+        let mut idle_reader = BufReader::new(&idle);
+        let mut banner = String::new();
+        idle_reader.read_line(&mut banner).unwrap();
+        assert!(banner.starts_with("READY "), "{banner}");
+
+        let start = Instant::now();
+        let mut second = TcpStream::connect(addr).unwrap();
+        second.set_read_timeout(deadline).unwrap();
+        second.write_all(b"SHOW CACHE\nQUIT\n").unwrap();
+        let mut reply = String::new();
+        second.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("READY "), "{reply}");
+        assert!(reply.contains("\nCACHE "), "{reply}");
+        assert!(reply.ends_with("BYE\nEND\n"), "{reply}");
+        assert!(start.elapsed() < CLIENT_TIMEOUT * 3);
+
+        // The idle client never hung up; the daemon closed its connection.
+        let mut rest = String::new();
+        assert_eq!(idle_reader.read_to_string(&mut rest).unwrap(), 0);
     }
 }

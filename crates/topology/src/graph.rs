@@ -9,6 +9,7 @@
 use crate::error::TopologyError;
 use stamp_eventsim::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense identifier of an AS within one [`AsGraph`] (`0..n`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -171,9 +172,18 @@ pub struct SessEnds {
     pub link: LinkId,
 }
 
-/// Immutable, validated AS-level topology.
+/// Immutable, validated AS-level topology. Cloning is cheap and shares:
+/// every clone points at one copy of the tables, which never change once
+/// [`GraphBuilder::build`] returns (so every engine forked from a baseline
+/// runs on the same topology memory).
 #[derive(Debug, Clone)]
 pub struct AsGraph {
+    t: Arc<Tables>,
+}
+
+/// The tables behind an [`AsGraph`].
+#[derive(Debug)]
+struct Tables {
     n: u32,
     providers: Vec<Vec<AsId>>,
     customers: Vec<Vec<AsId>>,
@@ -198,30 +208,30 @@ impl AsGraph {
     /// Number of ASes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n as usize
+        self.t.n as usize
     }
 
     /// All ASes.
     pub fn ases(&self) -> impl Iterator<Item = AsId> + '_ {
-        (0..self.n).map(AsId)
+        (0..self.t.n).map(AsId)
     }
 
     /// Number of links.
     #[inline]
     pub fn n_links(&self) -> usize {
-        self.links.len()
+        self.t.links.len()
     }
 
     /// All links.
     #[inline]
     pub fn links(&self) -> &[Link] {
-        &self.links
+        &self.t.links
     }
 
     /// The link with the given id.
     #[inline]
     pub fn link(&self, id: LinkId) -> Link {
-        self.links[id.index()]
+        self.t.links[id.index()]
     }
 
     /// Look up the link between two ASes, if any. O(log deg(a)) binary
@@ -238,28 +248,28 @@ impl AsGraph {
     /// Number of directed sessions (`2 · n_links`).
     #[inline]
     pub fn n_sessions(&self) -> usize {
-        self.sess_adj.len()
+        self.t.sess_adj.len()
     }
 
     /// AS `v`'s directed sessions, in [`AsGraph::neighbors`] order
     /// (customers, peers, providers — each ascending by neighbour id).
     #[inline]
     pub fn neighbor_entries(&self, v: AsId) -> &[SessEntry] {
-        let lo = self.sess_offsets[v.index()] as usize;
-        let hi = self.sess_offsets[v.index() + 1] as usize;
-        &self.sess_adj[lo..hi]
+        let lo = self.t.sess_offsets[v.index()] as usize;
+        let hi = self.t.sess_offsets[v.index() + 1] as usize;
+        &self.t.sess_adj[lo..hi]
     }
 
     /// The session entry from `a` towards `b`, if adjacent. O(log deg(a))
     /// binary search over `a`'s id-sorted session slice.
     #[inline]
     pub fn entry_between(&self, a: AsId, b: AsId) -> Option<&SessEntry> {
-        if a.index() + 1 >= self.sess_offsets.len() {
+        if a.index() + 1 >= self.t.sess_offsets.len() {
             return None;
         }
-        let lo = self.sess_offsets[a.index()] as usize;
-        let hi = self.sess_offsets[a.index() + 1] as usize;
-        let slice = &self.sess_by_id[lo..hi];
+        let lo = self.t.sess_offsets[a.index()] as usize;
+        let hi = self.t.sess_offsets[a.index() + 1] as usize;
+        let slice = &self.t.sess_by_id[lo..hi];
         slice
             .binary_search_by_key(&b, |e| e.neighbor)
             .ok()
@@ -275,13 +285,13 @@ impl AsGraph {
     /// Endpoints and link of a directed session.
     #[inline]
     pub fn sess_ends(&self, s: SessId) -> SessEnds {
-        self.sess_ends[s.index()]
+        self.t.sess_ends[s.index()]
     }
 
     /// The reverse direction of a directed session.
     #[inline]
     pub fn sess_reverse(&self, s: SessId) -> SessId {
-        let ends = self.sess_ends[s.index()];
+        let ends = self.t.sess_ends[s.index()];
         self.sess_between(ends.to, ends.from)
             // simlint::allow(panic, "the session table always stores both directions of a link")
             .expect("every session has a reverse")
@@ -290,19 +300,19 @@ impl AsGraph {
     /// Providers of `v` (ASes `v` buys transit from).
     #[inline]
     pub fn providers(&self, v: AsId) -> &[AsId] {
-        &self.providers[v.index()]
+        &self.t.providers[v.index()]
     }
 
     /// Customers of `v`.
     #[inline]
     pub fn customers(&self, v: AsId) -> &[AsId] {
-        &self.customers[v.index()]
+        &self.t.customers[v.index()]
     }
 
     /// Peers of `v`.
     #[inline]
     pub fn peers(&self, v: AsId) -> &[AsId] {
-        &self.peers[v.index()]
+        &self.t.peers[v.index()]
     }
 
     /// All neighbours of `v` with their relation to `v` (neighbour is
@@ -329,20 +339,20 @@ impl AsGraph {
     /// Gao inference.
     #[inline]
     pub fn is_tier1(&self, v: AsId) -> bool {
-        self.providers[v.index()].is_empty()
+        self.t.providers[v.index()].is_empty()
     }
 
     /// Whether `v` is a stub AS (no customers).
     #[inline]
     pub fn is_stub(&self, v: AsId) -> bool {
-        self.customers[v.index()].is_empty()
+        self.t.customers[v.index()].is_empty()
     }
 
     /// Whether `v` is multi-homed (two or more providers) — the ASes for
     /// which STAMP's origin colouring (§4.1) applies directly.
     #[inline]
     pub fn is_multi_homed(&self, v: AsId) -> bool {
-        self.providers[v.index()].len() >= 2
+        self.t.providers[v.index()].len() >= 2
     }
 
     /// All tier-1 ASes.
@@ -353,7 +363,7 @@ impl AsGraph {
     /// Original AS number for a dense id (identity for generated graphs).
     #[inline]
     pub fn external_asn(&self, v: AsId) -> u32 {
-        self.external[v.index()]
+        self.t.external[v.index()]
     }
 
     /// Shortest provider-chain depth below tier-1: 0 for tier-1 ASes,
@@ -388,7 +398,7 @@ impl AsGraph {
         for v in self.ases() {
             b.ensure_as(self.external_asn(v));
         }
-        for (i, l) in self.links.iter().enumerate() {
+        for (i, l) in self.t.links.iter().enumerate() {
             if !removed.contains(&LinkId::from_usize(i)) {
                 b.add_link(self.external_asn(l.a), self.external_asn(l.b), l.kind)
                     // simlint::allow(panic, "links copied from a validated graph re-validate by construction")
@@ -399,23 +409,12 @@ impl AsGraph {
         b.build().expect("sub-graph of a valid graph is valid")
     }
 
-    /// Rebuild the session table after deserialisation (everything
-    /// derivable from `links` + `n`).
-    pub fn rebuild_index(&mut self) {
-        let (sess_offsets, sess_adj, sess_by_id, sess_ends) =
-            build_session_table(self.n as usize, &self.links);
-        self.sess_offsets = sess_offsets;
-        self.sess_adj = sess_adj;
-        self.sess_by_id = sess_by_id;
-        self.sess_ends = sess_ends;
-    }
-
     /// Summary statistics used to sanity-check generated topologies.
     pub fn stats(&self) -> GraphStats {
         let n = self.n();
         let mut cp = 0usize;
         let mut pp = 0usize;
-        for l in &self.links {
+        for l in &self.t.links {
             match l.kind {
                 LinkKind::CustomerProvider => cp += 1,
                 LinkKind::PeerPeer => pp += 1,
@@ -430,7 +429,7 @@ impl AsGraph {
         let non_tier1 = n - tier1;
         GraphStats {
             n_ases: n,
-            n_links: self.links.len(),
+            n_links: self.t.links.len(),
             n_cp_links: cp,
             n_pp_links: pp,
             n_tier1: tier1,
@@ -665,16 +664,18 @@ impl GraphBuilder {
             build_session_table(n as usize, &self.links);
 
         Ok(AsGraph {
-            n,
-            providers,
-            customers,
-            peers,
-            links: self.links,
-            external: self.external,
-            sess_offsets,
-            sess_adj,
-            sess_by_id,
-            sess_ends,
+            t: Arc::new(Tables {
+                n,
+                providers,
+                customers,
+                peers,
+                links: self.links,
+                external: self.external,
+                sess_offsets,
+                sess_adj,
+                sess_by_id,
+                sess_ends,
+            }),
         })
     }
 }
@@ -849,6 +850,14 @@ mod tests {
         }
     }
 
+    /// Engines and their forks hold the topology by value; a clone must
+    /// share the tables, not copy them.
+    #[test]
+    fn clones_share_one_copy_of_the_tables() {
+        let g = diamond();
+        assert!(Arc::ptr_eq(&g.t, &g.clone().t));
+    }
+
     #[test]
     fn neighbor_entries_keep_class_then_id_order() {
         // AS 4 has two providers (2 and 3); AS 0 has a customer (2) and a
@@ -866,15 +875,5 @@ mod tests {
             order4,
             vec![(AsId(2), Relation::Provider), (AsId(3), Relation::Provider)]
         );
-    }
-
-    #[test]
-    fn rebuild_index_reconstructs_the_session_table() {
-        let g = diamond();
-        let mut h = g.clone();
-        h.rebuild_index();
-        for v in g.ases() {
-            assert_eq!(g.neighbor_entries(v), h.neighbor_entries(v));
-        }
     }
 }

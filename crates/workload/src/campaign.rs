@@ -12,7 +12,7 @@
 //! is the whole determinism argument: randomness is derived per cell from
 //! the cell's coordinates, never from worker identity or wall-clock.
 
-use crate::sim::{Sim, SimCheckpoint};
+use crate::sim::{Sim, SimCheckpoint, SimError};
 use crate::timeline::{
     background_churn, choose_k, correlated_node_outage, flap_train, maintenance_windows,
     policy_flip, prefix_hijack, prepend_hijack, provider_cone, random_attacker, route_leak,
@@ -320,8 +320,8 @@ pub fn run_protocol_cell(
 /// [`run_protocol_cell`] with a warm-start cache: if `cache` holds the
 /// converged baseline for this `(protocol, dest, seed)`, the cell forks
 /// from it instead of replaying convergence; otherwise the cell converges
-/// cold and deposits its checkpoint for the next taker. Either way the
-/// returned metrics are bit-identical to the cold path (the restore
+/// cold and deposits its baseline for the next taker. Either way the
+/// returned metrics are bit-identical to the cold path (the fork
 /// contract, proven by `tests/warmstart.rs` and the campaign binary's
 /// cold-vs-warm hash assertion).
 #[allow(clippy::too_many_arguments)]
@@ -358,27 +358,25 @@ fn run_protocol_cell_inner(
     seed: u64,
     cache: Option<&BaselineCache>,
 ) -> InstanceMetrics {
-    let mut sim = Sim::on(g)
-        .protocol(protocol)
-        .originate(dest, PREFIX)
-        .seed(seed)
-        .params(params.clone())
-        .build()
-        // simlint::allow(panic, "destinations come from the campaign's own topology scan")
-        .expect("campaign destinations are in range");
-    if let Some(cache) = cache {
-        let fp = params.policy.fingerprint();
-        match cache.get(protocol, dest, seed, fp) {
-            Some(ck) => sim
-                .restore(&ck)
-                // simlint::allow(panic, "the cache key includes the protocol, so the kinds match")
-                .expect("cached checkpoint matches the session protocol"),
-            None => {
-                sim.converge();
-                cache.put(protocol, dest, seed, fp, sim.checkpoint());
-            }
-        }
-    }
+    let mut sim = match cache {
+        Some(cache) => cache
+            .get(protocol, dest, seed, params.policy.fingerprint())
+            .unwrap_or_else(|| {
+                cache
+                    .converge(g, params, protocol, dest, seed)
+                    // simlint::allow(panic, "destinations come from the campaign's own topology scan")
+                    .expect("campaign destinations are in range")
+            })
+            .fork(params),
+        None => Sim::on(g)
+            .protocol(protocol)
+            .originate(dest, PREFIX)
+            .seed(seed)
+            .params(params.clone())
+            .build()
+            // simlint::allow(panic, "destinations come from the campaign's own topology scan")
+            .expect("campaign destinations are in range"),
+    };
     sim.measure(timeline, reachable)
         // simlint::allow(panic, "timelines are generated against this same graph")
         .expect("timeline must resolve against the campaign topology")
@@ -415,10 +413,10 @@ struct CacheInner {
 }
 
 /// Warm-start cache of converged baselines: `(protocol, dest, engine
-/// seed, policy fingerprint) → checkpoint taken right after initial
+/// seed, policy fingerprint) → the session frozen right after initial
 /// convergence`. Shared
-/// across workers (internally locked; checkpoints are handed out as
-/// `Arc`s, so the lock is never held during a restore) and across grid
+/// across workers (internally locked; baselines are handed out as
+/// `Arc`s, so the lock is never held during a fork) and across grid
 /// passes — the second run of the same grid converges nothing.
 ///
 /// [`BaselineCache::new`] is unbounded; [`BaselineCache::with_capacity`]
@@ -431,7 +429,7 @@ struct CacheInner {
 ///
 /// Contract: one cache serves exactly one `(topology, params)` pair. The
 /// key deliberately does not re-encode them (hashing a whole `AsGraph`
-/// per lookup would dwarf the restore it guards); reusing a cache across
+/// per lookup would dwarf the fork it guards); reusing a cache across
 /// topologies or params is a caller bug, same as [`Sim::restore`] across
 /// sessions of different shape.
 pub struct BaselineCache {
@@ -496,8 +494,8 @@ impl BaselineCache {
     /// Look up the converged baseline of `(p, dest, seed, policy_fp)`,
     /// counting a hit or a miss. `policy_fp` is the regime's
     /// [`PolicyRegime::fingerprint`] — baselines converged under different
-    /// regimes never alias. The checkpoint is shared out as an `Arc`, so
-    /// the lock is released before any restore happens.
+    /// regimes never alias. The baseline is shared out as an `Arc`, so
+    /// the lock is released before any fork happens.
     pub fn get(
         &self,
         p: Protocol,
@@ -515,14 +513,35 @@ impl BaselineCache {
         hit
     }
 
-    /// Deposit a converged baseline. A fresh key joins the FIFO queue (and
-    /// may evict the oldest deposit when bounded); re-depositing an
-    /// existing key replaces the checkpoint without renewing its slot.
-    pub fn put(&self, p: Protocol, dest: AsId, seed: u64, policy_fp: u64, ck: SimCheckpoint) {
-        let key = (p, dest, seed, policy_fp);
+    /// Converge the baseline of `(p, dest, seed)` under `params` on `g`
+    /// cold, deposit it, and hand it back — the one way a baseline enters
+    /// the cache. A fresh key joins the FIFO queue (and may evict the
+    /// oldest deposit when bounded); re-depositing an existing key replaces
+    /// the baseline without renewing its slot. Typed error when `dest` is
+    /// not in `g`.
+    pub fn converge(
+        &self,
+        g: &AsGraph,
+        params: &RunParams,
+        p: Protocol,
+        dest: AsId,
+        seed: u64,
+    ) -> Result<Arc<SimCheckpoint>, SimError> {
+        let mut sim = Sim::on(g)
+            .protocol(p)
+            .originate(dest, PREFIX)
+            .seed(seed)
+            .params(params.clone())
+            .build()?;
+        sim.converge();
+        // A copy, not the session itself: convergence leaves buffers (the
+        // event heap, the arena index) at their high-water capacity, and a
+        // clone is compact — 870 kB against 1365 kB per 500-AS baseline.
+        let ck = Arc::new(sim.checkpoint());
+        let key = (p, dest, seed, params.policy.fingerprint());
         // simlint::allow(panic, "poison means a sibling worker already panicked")
         let mut inner = self.inner.lock().unwrap();
-        if inner.map.insert(key, Arc::new(ck)).is_none() {
+        if inner.map.insert(key, Arc::clone(&ck)).is_none() {
             inner.order.push_back(key);
             while inner.capacity.is_some_and(|cap| inner.map.len() > cap) {
                 // The queue only grows on fresh inserts, so it cannot be
@@ -533,6 +552,7 @@ impl BaselineCache {
                 }
             }
         }
+        Ok(ck)
     }
 }
 
@@ -800,19 +820,12 @@ pub fn populate_baselines(
                 };
                 let seed = cell.engine_seed();
                 for &p in &cfg.protocols {
-                    if cache.get(p, dest, seed, fp).is_some() {
-                        continue;
+                    if cache.get(p, dest, seed, fp).is_none() {
+                        cache
+                            .converge(g, &cfg.params, p, dest, seed)
+                            // simlint::allow(panic, "destinations come from the campaign's own topology scan")
+                            .expect("campaign destinations are in range");
                     }
-                    let mut sim = Sim::on(g)
-                        .protocol(p)
-                        .originate(dest, PREFIX)
-                        .seed(seed)
-                        .params(cfg.params.clone())
-                        .build()
-                        // simlint::allow(panic, "destinations come from the campaign's own topology scan")
-                        .expect("campaign destinations are in range");
-                    sim.converge();
-                    cache.put(p, dest, seed, fp, sim.checkpoint());
                 }
             }
         }

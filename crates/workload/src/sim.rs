@@ -40,7 +40,7 @@
 
 use crate::campaign::{InstanceMetrics, Protocol, RunParams};
 use crate::timeline::{Timeline, TimelineError};
-use stamp_bgp::engine::{Checkpoint, Engine, EngineConfig, RunOutcome, RunStats, ScenarioEvent};
+use stamp_bgp::engine::{Engine, EngineConfig, RunOutcome, RunStats, ScenarioEvent};
 use stamp_bgp::router::{BgpRouter, RouterLogic};
 use stamp_bgp::types::{PrefixId, RootCause};
 use stamp_core::{LockStrategy, StampRouter};
@@ -534,15 +534,6 @@ impl<'g> SimBuilder<'g> {
         self
     }
 
-    /// Which policy regime every router runs (default: `gao-rexford`).
-    /// Shorthand for setting [`RunParams::policy`]; call after
-    /// [`SimBuilder::params`]/[`SimBuilder::fast`] or the regime is
-    /// overwritten with theirs.
-    pub fn policy(mut self, regime: stamp_policy::PolicyRegime) -> Self {
-        self.params.policy = regime;
-        self
-    }
-
     /// Shorthand for `.params(RunParams::fast())` — the fixed-delay,
     /// MRAI-off configuration unit tests use.
     pub fn fast(self) -> Self {
@@ -713,31 +704,6 @@ impl Sim {
         }
     }
 
-    /// Mutable concrete-engine access (harness surgery; the facade itself
-    /// never needs it).
-    pub fn bgp_mut(&mut self) -> Option<&mut Engine<BgpRouter>> {
-        match &mut self.engine {
-            EngineKind::Bgp(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// See [`Sim::bgp_mut`].
-    pub fn rbgp_mut(&mut self) -> Option<&mut Engine<RbgpRouter>> {
-        match &mut self.engine {
-            EngineKind::Rbgp(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// See [`Sim::bgp_mut`].
-    pub fn stamp_mut(&mut self) -> Option<&mut Engine<StampRouter>> {
-        match &mut self.engine {
-            EngineKind::Stamp(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// Cold-start convergence with observation: originations go out, the
     /// network runs to quiescence (bounded by
     /// [`RunParams::phase_deadline`]). Idempotent — a second call is a
@@ -855,23 +821,13 @@ impl Sim {
         })
     }
 
-    /// Capture the whole session — engine state (routers, in-flight
-    /// messages, scheduler, RNG stream positions, path-arena high-water
-    /// mark) plus the facade's convergence bookkeeping — as a
-    /// protocol-erased checkpoint. Typical use: converge once, checkpoint,
-    /// then [`Sim::restore`] before each timeline of a grid.
+    /// Freeze a copy of the whole session — engine state (routers,
+    /// in-flight messages, scheduler, RNG stream positions, path arena)
+    /// plus the facade's convergence bookkeeping. Typical use: converge
+    /// once, checkpoint, then [`SimCheckpoint::fork`] a fresh session for
+    /// each timeline of a grid (or [`Sim::restore`] one session in place).
     pub fn checkpoint(&self) -> SimCheckpoint {
-        SimCheckpoint {
-            protocol: self.protocol,
-            engine: match &self.engine {
-                EngineKind::Bgp(e) => CheckpointKind::Bgp(e.snapshot()),
-                EngineKind::Rbgp(e) => CheckpointKind::Rbgp(e.snapshot()),
-                EngineKind::Stamp(e) => CheckpointKind::Stamp(e.snapshot()),
-            },
-            converged: self.converged,
-            updates_initial: self.updates_initial,
-            outcome: self.outcome,
-        }
+        SimCheckpoint { sim: self.clone() }
     }
 
     /// Rewind the session to `ck`, reusing this session's buffers (no
@@ -881,56 +837,64 @@ impl Sim {
     /// session of the same protocol (typed error otherwise) running the
     /// same topology and params (caller contract, not re-validated here).
     pub fn restore(&mut self, ck: &SimCheckpoint) -> Result<(), SimError> {
-        let mismatch = || SimError::CheckpointMismatch {
+        let from = &ck.sim;
+        let mismatch = SimError::CheckpointMismatch {
             expected: self.protocol,
-            got: ck.protocol,
+            got: from.protocol,
         };
-        if self.protocol != ck.protocol {
-            return Err(mismatch());
+        if self.protocol != from.protocol {
+            return Err(mismatch);
         }
-        match (&mut self.engine, &ck.engine) {
-            (EngineKind::Bgp(e), CheckpointKind::Bgp(c)) => e.restore(c),
-            (EngineKind::Rbgp(e), CheckpointKind::Rbgp(c)) => e.restore(c),
-            (EngineKind::Stamp(e), CheckpointKind::Stamp(c)) => e.restore(c),
-            _ => return Err(mismatch()),
+        match (&mut self.engine, &from.engine) {
+            (EngineKind::Bgp(e), EngineKind::Bgp(f)) => e.restore(f),
+            (EngineKind::Rbgp(e), EngineKind::Rbgp(f)) => e.restore(f),
+            (EngineKind::Stamp(e), EngineKind::Stamp(f)) => e.restore(f),
+            _ => return Err(mismatch),
         }
-        self.converged = ck.converged;
-        self.updates_initial = ck.updates_initial;
-        self.outcome = ck.outcome;
+        self.converged = from.converged;
+        self.updates_initial = from.updates_initial;
+        self.outcome = from.outcome;
         Ok(())
     }
 
-    /// A fully independent copy of the session (fresh allocations, shared
-    /// nothing). The fork continues bit-identically to the original: both
-    /// replay the same events to the same metrics.
+    /// A fully independent copy of the session (it shares only the
+    /// immutable topology). The fork continues bit-identically to the
+    /// original: both replay the same events to the same metrics.
     pub fn fork(&self) -> Sim {
         self.clone()
     }
 }
 
-/// Protocol-erased session checkpoint from [`Sim::checkpoint`]. Opaque:
-/// its only consumer is [`Sim::restore`] on a compatible session.
+/// A frozen session from [`Sim::checkpoint`]: a [`Sim`] nobody drives.
+/// Warm starts copy it — [`SimCheckpoint::fork`] for a new session,
+/// [`Sim::restore`] into an existing one — and read it
+/// ([`SimCheckpoint::sim`]), but never mutate it, so one converged
+/// baseline can be shared (behind an `Arc`) by a cache, a daemon and any
+/// number of concurrent forks.
 #[derive(Clone)]
 pub struct SimCheckpoint {
-    protocol: Protocol,
-    engine: CheckpointKind,
-    converged: bool,
-    updates_initial: u64,
-    outcome: RunOutcome,
+    sim: Sim,
 }
 
 impl SimCheckpoint {
-    /// The protocol of the session this checkpoint was taken from.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
+    /// The frozen session, read-only.
+    pub fn sim(&self) -> &Sim {
+        &self.sim
     }
-}
 
-#[derive(Clone)]
-enum CheckpointKind {
-    Bgp(Checkpoint<BgpRouter>),
-    Rbgp(Checkpoint<RbgpRouter>),
-    Stamp(Checkpoint<StampRouter>),
+    /// A new session continuing from the checkpoint under `params`. The
+    /// engine-level knobs (delays, MRAI, loss, policy, watchdog) were fixed
+    /// when the checkpointed session was built and must match `params`
+    /// (the [`crate::BaselineCache`] contract); `params` supplies the
+    /// facade-level ones — injection delay, observation interval and the
+    /// per-phase deadline, which queryd clamps per query.
+    pub fn fork(&self, params: &RunParams) -> Sim {
+        Sim {
+            params: params.clone(),
+            engine: self.sim.engine.clone(),
+            ..self.sim
+        }
+    }
 }
 
 /// Where a [`Sim::play`] landed on the simulation clock.

@@ -27,12 +27,12 @@ use stamp_repro::eventsim::{rng_stream, DelayModel, SimDuration};
 use stamp_repro::experiments::{run_failure_experiment, FailureConfig, FailureScenario, Protocol};
 use stamp_repro::forwarding::{classify_all, ForwardingView, Outcome};
 use stamp_repro::sim::{MetricsProbe, NullProbe, Probe, Sim, SimEvent, SnapshotCause};
-use stamp_repro::topology::{generate, AsId, GenConfig, StaticRoutes};
+use stamp_repro::topology::{generate, AsGraph, AsId, GenConfig, GraphBuilder, StaticRoutes};
 use stamp_repro::workload::goldens::{self, GOLDEN_SEED};
 use stamp_repro::workload::{
     adversarial_grid, destination_candidates, flap_train, run_campaign, run_protocol_cell,
-    sample_canned, smoke_grid, CampaignCell, CampaignConfig, InstanceMetrics, PolicyRegime,
-    RunOutcome, RunParams, Timeline, WatchdogConfig, PREFIX,
+    sample_canned, smoke_grid, CampaignCell, CampaignConfig, InstanceMetrics, NetEvent,
+    PolicyRegime, RunOutcome, RunParams, Timeline, TimelineEvent, WatchdogConfig, PREFIX,
 };
 
 /// The full single-link-failure workload, run twice with identical
@@ -413,8 +413,6 @@ fn adversarial_campaign_hash_is_pinned_and_worker_independent() {
 /// churn — must be byte-identical run over run and across worker counts.
 #[test]
 fn diverging_cells_fold_into_the_aggregate_deterministically() {
-    use stamp_repro::topology::GraphBuilder;
-
     let mut b = GraphBuilder::new();
     b.preregister(4);
     b.peering(0, 1).unwrap();
@@ -573,44 +571,66 @@ impl Probe for Oracle {
     }
 }
 
-/// Every cell of the smoke and adversarial grids, under every protocol,
-/// played twice on one session with one probe — fresh after convergence,
-/// then again after a restore (which forces the classification cold) —
-/// with the oracle checking every observation.
+/// Play `timeline` towards `dest` under every protocol, twice on one
+/// session with one probe — fresh after convergence, then again after a
+/// restore (which forces the classification cold) — with the oracle
+/// checking every observation. Returns the number of observations checked.
+fn check_against_oracle(
+    g: &AsGraph,
+    params: &RunParams,
+    timeline: &Timeline,
+    dest: AsId,
+    seed: u64,
+) -> usize {
+    let removed = timeline.removed_links(g).unwrap();
+    let reachable = StaticRoutes::compute(&g.without_links(&removed), dest).reachable_mask();
+    let mut observations = 0;
+    for p in Protocol::ALL {
+        let mut sim = Sim::on(g)
+            .protocol(p)
+            .originate(dest, PREFIX)
+            .seed(seed)
+            .params(params.clone())
+            .build()
+            .unwrap();
+        sim.converge();
+        let ck = sim.checkpoint();
+        let mut oracle = Oracle::new(dest, reachable.clone(), timeline.root_causes());
+        for _ in 0..2 {
+            sim.restore(&ck).unwrap();
+            sim.reset_measurement();
+            sim.play(timeline, &mut oracle).unwrap();
+        }
+        observations += oracle.observations;
+    }
+    observations
+}
+
+/// Every cell of the smoke and adversarial grids, plus an R-BGP escape
+/// circuit broken by a non-adjacent failure, checked by the oracle at
+/// every observation.
+///
+/// The escape case is the diamond (0 ==== 1 tier-1 peers, 2 under 0, 3
+/// under 1, origin 4 under both): AS 2 loses its link to 4 and forwards
+/// over its escape circuit 2 → 0 → 1 → 3 → 4; 1 ms later link 1–3 fails,
+/// which breaks the circuit without touching any session of AS 2. No grid
+/// cell drives that shape, and only it shows a classifier that misses a
+/// liveness change on a pinned path. Every batch is observed so the 1 ms
+/// window is seen.
 #[test]
 fn incremental_tracker_matches_a_fresh_classification_at_every_observation() {
     let mut observations = 0;
     for (g, timelines, dests, cfg) in [smoke_grid(GOLDEN_SEED), adversarial_grid(GOLDEN_SEED)] {
         for (t, timeline) in timelines.iter().enumerate() {
-            let removed = timeline.removed_links(&g).unwrap();
             for &dest in &dests {
-                let reachable =
-                    StaticRoutes::compute(&g.without_links(&removed), dest).reachable_mask();
                 for &seed in &cfg.seeds {
                     let cell = CampaignCell {
                         timeline: t,
                         dest,
                         seed,
                     };
-                    for p in Protocol::ALL {
-                        let mut sim = Sim::on(&g)
-                            .protocol(p)
-                            .originate(dest, PREFIX)
-                            .seed(cell.engine_seed())
-                            .params(cfg.params.clone())
-                            .build()
-                            .unwrap();
-                        sim.converge();
-                        let ck = sim.checkpoint();
-                        let mut oracle =
-                            Oracle::new(dest, reachable.clone(), timeline.root_causes());
-                        for _ in 0..2 {
-                            sim.restore(&ck).unwrap();
-                            sim.reset_measurement();
-                            sim.play(timeline, &mut oracle).unwrap();
-                        }
-                        observations += oracle.observations;
-                    }
+                    observations +=
+                        check_against_oracle(&g, &cfg.params, timeline, dest, cell.engine_seed());
                 }
             }
         }
@@ -619,4 +639,31 @@ fn incremental_tracker_matches_a_fresh_classification_at_every_observation() {
         observations > 1000,
         "only {observations} observations checked"
     );
+
+    let mut b = GraphBuilder::new();
+    b.preregister(5);
+    b.peering(0, 1).unwrap();
+    b.customer_of(2, 0).unwrap();
+    b.customer_of(3, 1).unwrap();
+    b.customer_of(4, 2).unwrap();
+    b.customer_of(4, 3).unwrap();
+    let diamond = b.build().unwrap();
+    let escape = Timeline::from_events(
+        "escape-circuit",
+        vec![
+            TimelineEvent {
+                at: SimDuration::ZERO,
+                ev: NetEvent::LinkDown(AsId(2), AsId(4)),
+            },
+            TimelineEvent {
+                at: SimDuration::from_millis(1),
+                ev: NetEvent::LinkDown(AsId(1), AsId(3)),
+            },
+        ],
+    );
+    let params = RunParams {
+        observe_interval: SimDuration::ZERO,
+        ..RunParams::paper()
+    };
+    assert!(check_against_oracle(&diamond, &params, &escape, AsId(4), 1) > 0);
 }

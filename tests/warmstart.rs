@@ -1,12 +1,13 @@
 //! Warm-start determinism: a cell forked from a converged checkpoint must
 //! be indistinguishable — bit for bit — from a cell that converged cold.
 //!
-//! This is the proof obligation of the checkpoint/restore layer: the
-//! campaign's warm path (`BaselineCache`) only exists because `restore`
-//! rewinds *everything* the replay depends on (routers, in-flight
-//! messages, scheduler, MRAI state, RNG stream positions, the path-arena
-//! high-water mark). Any field missed by the checkpoint shows up here as
-//! a metrics diff on some protocol × scenario combination.
+//! This is the proof obligation of the checkpoint layer: the campaign's
+//! warm path (`BaselineCache`) only exists because a fork of a frozen
+//! converged `Sim` — and a `restore` from one — carries *everything* the
+//! replay depends on (routers, in-flight messages, scheduler, MRAI state,
+//! RNG stream positions, the path arena). Any field a restore misses
+//! shows up here as a metrics diff on some protocol × scenario
+//! combination.
 
 use stamp_repro::eventsim::rng::tags;
 use stamp_repro::eventsim::rng_stream;
@@ -82,7 +83,7 @@ fn forked_cell_matches_cold_cell_on_canned_scenarios() {
     }
 }
 
-/// Property: `snapshot → mutate → restore → mutate` replays byte-
+/// Property: `checkpoint → mutate → restore → mutate` replays byte-
 /// identically at any fork depth. Each depth plays a different timeline,
 /// so the checkpoint under test is taken from a progressively *dirtier*
 /// session — post-convergence, post-replay, post-replay-of-replay… — and
